@@ -2,8 +2,8 @@
 // telemetry edition):
 //   1. the tab10 mutex matrix reproduced through the batch API `check_all`
 //      (and cross-checked against sequential `check`);
-//   2. early-exit: on seeded violating models the nested-DFS engine builds
-//      strictly fewer product states than the full state-graph × automaton
+//   2. early-exit: on seeded violating models the on-the-fly SCC search
+//      builds strictly fewer product states than the full state-graph × automaton
 //      bound, and the reported counterexample replays to a genuine
 //      violation under the independent lasso evaluator;
 //   3. batching: `check_all` (one exploration, shared label caches) is
@@ -111,7 +111,7 @@ std::vector<MatrixRow> run_matrix() {
   return rows;
 }
 
-/// 2. Early exit on seeded violating models: the nested-DFS engine must
+/// 2. Early exit on seeded violating models: the on-the-fly SCC search must
 /// stop strictly below the full product bound, with a genuine trace.
 std::vector<EarlyExitRow> run_early_exit() {
   std::vector<EarlyExitRow> rows;
@@ -121,7 +121,7 @@ std::vector<EarlyExitRow> run_early_exit() {
     auto result = fts::check(prog.system, spec, prog.atoms);
     const auto& s = result.stats;
     BENCH_CHECK(!result.holds, ("seeded violation found on " + model).c_str());
-    BENCH_CHECK(s.on_the_fly, ("nested-DFS engine used on " + model).c_str());
+    BENCH_CHECK(s.engine == fts::CheckEngine::Scc, ("SCC search used on " + model).c_str());
     BENCH_CHECK(s.nba_fallback == expect_fallback,
                 ("compile route on " + model).c_str());
     BENCH_CHECK(s.product_states < s.product_bound,
@@ -197,8 +197,8 @@ void write_json(const std::string& path, bool quick, const std::vector<MatrixRow
     const auto& s = r.result.stats;
     out << "    {\"model\": \"" << analysis::json_escape(r.model) << "\", \"spec\": \""
         << analysis::json_escape(r.spec) << "\", \"holds\": " << json_bool(r.result.holds)
-        << ", \"on_the_fly\": " << json_bool(s.on_the_fly)
-        << ", \"nba_fallback\": " << json_bool(s.nba_fallback)
+        << ", \"engine\": \"" << fts::to_string(s.engine)
+        << "\", \"nba_fallback\": " << json_bool(s.nba_fallback)
         << ", \"product_states\": " << s.product_states
         << ", \"product_bound\": " << s.product_bound << "}"
         << (i + 1 < matrix.size() ? "," : "") << "\n";
@@ -208,8 +208,8 @@ void write_json(const std::string& path, bool quick, const std::vector<MatrixRow
     const auto& r = early[i];
     out << "    {\"model\": \"" << analysis::json_escape(r.model) << "\", \"spec\": \""
         << analysis::json_escape(r.spec)
-        << "\", \"on_the_fly\": " << json_bool(r.stats.on_the_fly)
-        << ", \"nba_fallback\": " << json_bool(r.stats.nba_fallback)
+        << "\", \"engine\": \"" << fts::to_string(r.stats.engine)
+        << "\", \"nba_fallback\": " << json_bool(r.stats.nba_fallback)
         << ", \"product_states\": " << r.stats.product_states
         << ", \"product_bound\": " << r.stats.product_bound
         << ", \"replay_violates\": " << json_bool(r.replayed) << "}"

@@ -85,7 +85,7 @@ std::vector<ltl::Formula> battery(std::size_t n) {
 
 /// Engine / provenance census over one `check_all` run.
 struct Tally {
-  std::size_t safety_prefix = 0, guarantee_dual = 0, nested_dfs = 0, scc = 0;
+  std::size_t safety_prefix = 0, guarantee_dual = 0, scc = 0;
   std::size_t src_none = 0, src_syntactic = 0, src_normalized = 0;
   std::size_t normalize_steps = 0;
 };
@@ -96,7 +96,6 @@ Tally tally_of(const std::vector<fts::CheckResult>& results) {
     switch (r.stats.engine) {
       case fts::CheckEngine::SafetyPrefix: ++t.safety_prefix; break;
       case fts::CheckEngine::GuaranteeDual: ++t.guarantee_dual; break;
-      case fts::CheckEngine::NestedDfs: ++t.nested_dfs; break;
       case fts::CheckEngine::Scc: ++t.scc; break;
     }
     switch (r.stats.class_source) {
@@ -186,7 +185,7 @@ ModelReport compare(const std::string& name, const Program& prog, std::size_t n_
   }
   // The genuine recurrence requirements stay on the ω-product engines in
   // every configuration — normalization never *invents* a shortcut.
-  BENCH_CHECK(tn.nested_dfs + tn.scc >= n_processes,
+  BENCH_CHECK(tn.scc >= n_processes,
               ("the response requirements stay on the general engines on " + name).c_str());
   return rep;
 }
@@ -215,8 +214,8 @@ void run_seeded_checks() {
 
 void write_tally(std::ofstream& out, const Tally& t) {
   out << "{\"engines\": {\"safety_prefix\": " << t.safety_prefix
-      << ", \"guarantee_dual\": " << t.guarantee_dual << ", \"nested_dfs\": " << t.nested_dfs
-      << ", \"scc\": " << t.scc << "}, \"sources\": {\"none\": " << t.src_none
+      << ", \"guarantee_dual\": " << t.guarantee_dual << ", \"scc\": " << t.scc
+      << "}, \"sources\": {\"none\": " << t.src_none
       << ", \"syntactic\": " << t.src_syntactic << ", \"normalized\": " << t.src_normalized
       << "}, \"normalize_steps\": " << t.normalize_steps << "}";
 }

@@ -46,7 +46,7 @@ REQUESTS = [
      "specs": [SAFETY, LIVENESS, SAFETY]},                    # in-batch duplicate
     {"op": "check", "id": 5, "model": "peterson", "specs": [SAFETY]},
     {"op": "check", "id": 6, "model": "peterson", "specs": [SAFETY],
-     "force_scc": True},                                      # separate cache key
+     "force_scc": True, "class_dispatch": True},              # separate cache key
     {"op": "check", "id": 7, "model": "peterson", "specs": [SAFETY],
      "explore_threads": 2},                                   # separate cache key
     {"op": "check", "id": 8, "model": TOGGLE, "specs": ["F xhi", "G xlo"]},
@@ -153,8 +153,10 @@ def main():
            "force_scc must be keyed separately from the default route", scc)
     expect(result_of(scc)["verdict"] == "holds",
            "force_scc verdict must agree", scc)
-    expect(result_of(scc)["engine"] != result_of(warm)["engine"],
-           "force_scc must actually change the engine", scc)
+    # Class dispatch alone would send the safety spec to the closed-prefix
+    # scan; force_scc pins the general ω-product route.
+    expect(result_of(scc)["engine"] == "SCC",
+           "force_scc must override class dispatch", scc)
     expect(scc["options_digest"] != warm["options_digest"],
            "options digest must differ under force_scc", scc)
 

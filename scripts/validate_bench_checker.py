@@ -9,6 +9,8 @@ docs/CHECKER.md; prints the first problem and exits 1 otherwise.
 import json
 import sys
 
+ENGINES = {"SCC", "safety-prefix", "guarantee-dual", "static"}
+
 
 def fail(msg):
     print(f"BENCH_checker.json schema violation: {msg}", file=sys.stderr)
@@ -24,7 +26,7 @@ def check_row(row, where, extra_keys=()):
     keys = {
         "model": str,
         "spec": str,
-        "on_the_fly": bool,
+        "engine": str,
         "nba_fallback": bool,
         "product_states": int,
         "product_bound": int,
@@ -34,6 +36,7 @@ def check_row(row, where, extra_keys=()):
     for key, ty in keys.items():
         require(key in row, f"{where}: missing key '{key}'")
         require(isinstance(row[key], ty), f"{where}: '{key}' is not {ty.__name__}")
+    require(row["engine"] in ENGINES, f"{where}: unknown engine {row['engine']!r}")
     require(row["product_states"] >= 1, f"{where}: empty product")
     require(
         row["product_states"] <= row["product_bound"],
@@ -60,7 +63,7 @@ def main():
     for i, row in enumerate(early):
         where = f"early_exit[{i}]"
         check_row(row, where, extra_keys=[("replay_violates", bool)])
-        require(row["on_the_fly"], f"{where}: engine was not on-the-fly")
+        require(row["engine"] == "SCC", f"{where}: not decided by the SCC search")
         require(
             row["product_states"] < row["product_bound"],
             f"{where}: no early exit (product_states == product_bound)",

@@ -16,9 +16,9 @@ Usage: validate_bench_normalize.py PATH
 import json
 import sys
 
-ENGINE_KEYS = {"safety_prefix", "guarantee_dual", "nested_dfs", "scc"}
+ENGINE_KEYS = {"safety_prefix", "guarantee_dual", "scc"}
 SOURCE_KEYS = {"none", "syntactic", "normalized"}
-ENGINES = {"nested-DFS", "SCC", "safety-prefix", "guarantee-dual"}
+ENGINES = {"SCC", "safety-prefix", "guarantee-dual"}
 SOURCES = {"none", "syntactic", "normalized"}
 RUNS = ("normalized", "syntactic", "raw")
 

@@ -3,13 +3,13 @@
 
 Usage: validate_bench_parallel.py PATH
 
-Checks the documented schema, re-checks thread-count agreement (verdict and
-product size identical within each (model, spec, class_dispatch) group), and
-— only on machines that can actually scale — gates the speedup: when the run
-was not --quick and the reporting host had at least 4 hardware threads, the
-largest dining-N CNDFS row must reach a 2.5x speedup at 4 explore-threads
-over 1. On smaller hosts (e.g. single-core CI containers) the speedup is
-reported but not enforced.
+Checks the documented schema, re-checks thread-count agreement (verdicts and
+state counts identical within each (kind, model, what) group), and — only on
+machines that can actually scale — gates the speedup: when the run was not
+--quick and the reporting host had at least 4 hardware threads, the largest
+dining-N check_all batch must reach a 1.5x speedup at 4 per-spec worker
+threads over 1. On smaller hosts (e.g. single-core CI containers) the
+speedup is reported but not enforced.
 
 Exits 0 iff the file parses and every check passes; prints the first
 problem and exits 1 otherwise.
@@ -17,8 +17,9 @@ problem and exits 1 otherwise.
 import json
 import sys
 
-SPEEDUP_FLOOR = 2.5
+SPEEDUP_FLOOR = 1.5
 SPEEDUP_THREADS = 4
+KINDS = {"explore", "check_all", "scan"}
 
 
 def fail(msg):
@@ -50,38 +51,33 @@ def main():
     for i, row in enumerate(rows):
         where = f"rows[{i}]"
         require(isinstance(row, dict), f"{where}: not an object")
-        for key in ("model", "spec", "engine"):
+        require(row.get("kind") in KINDS, f"{where}: unknown kind {row.get('kind')!r}")
+        for key in ("model", "what", "engine", "verdicts"):
             require(isinstance(row.get(key), str) and row[key], f"{where}: missing '{key}'")
-        require(isinstance(row.get("class_dispatch"), bool),
-                f"{where}: 'class_dispatch' is not a bool")
-        require(isinstance(row.get("holds"), bool), f"{where}: 'holds' is not a bool")
-        for key in ("threads", "threads_used", "product_states"):
+        for key in ("threads", "states"):
             require(isinstance(row.get(key), int) and row[key] >= 1,
                     f"{where}: '{key}' missing or < 1")
         require(isinstance(row.get("seconds"), (int, float)) and row["seconds"] >= 0,
                 f"{where}: 'seconds' missing or negative")
-        require(row["threads_used"] <= row["threads"],
-                f"{where}: used more threads than requested")
-        groups.setdefault((row["model"], row["spec"], row["class_dispatch"]), []).append(row)
+        groups.setdefault((row["kind"], row["model"], row["what"]), []).append(row)
 
+    require({key[0] for key in groups} == KINDS, "some kind of parallel work has no rows")
     for key, group in groups.items():
         where = f"group {key}"
         threads = [r["threads"] for r in group]
         require(len(set(threads)) == len(threads), f"{where}: duplicate thread count")
         require(1 in threads, f"{where}: no single-thread baseline row")
-        require(len({r["holds"] for r in group}) == 1,
-                f"{where}: verdict differs across thread counts")
-        require(len({r["product_states"] for r in group}) == 1,
-                f"{where}: product size differs across thread counts")
-        require(len({r["engine"] for r in group}) == 1,
-                f"{where}: engine differs across thread counts")
+        for field in ("verdicts", "states", "engine"):
+            require(len({r[field] for r in group}) == 1,
+                    f"{where}: {field} differ across thread counts")
 
     scaling = data.get("scaling")
     require(isinstance(scaling, list) and scaling, "'scaling' missing or empty")
     for i, s in enumerate(scaling):
         where = f"scaling[{i}]"
         require(isinstance(s, dict), f"{where}: not an object")
-        for key in ("model", "spec"):
+        require(s.get("kind") in KINDS, f"{where}: unknown kind {s.get('kind')!r}")
+        for key in ("model", "what"):
             require(isinstance(s.get(key), str) and s[key], f"{where}: missing '{key}'")
         for key in ("baseline_seconds", "parallel_seconds", "speedup"):
             require(isinstance(s.get(key), (int, float)) and s[key] >= 0,
@@ -92,23 +88,23 @@ def main():
     # The scaling gate: hardware-aware, so single-core CI containers validate
     # the schema and agreement but skip the speedup floor.
     enforce = (not data["quick"] and data["hardware_threads"] >= SPEEDUP_THREADS)
-    dining = [s for s in scaling
-              if s["model"].startswith("dining-") and not s.get("class_dispatch", False)
-              and s["threads_max"] >= SPEEDUP_THREADS]
+    batches = [s for s in scaling
+               if s["kind"] == "check_all" and s["model"].startswith("dining-")
+               and s["threads_max"] >= SPEEDUP_THREADS]
     verdict = "enforced" if enforce else "reported only (quick or <4 hardware threads)"
     best = 0.0
-    if dining:
-        largest = max(dining, key=lambda s: s.get("product_states", 0))
+    if batches:
+        largest = max(batches, key=lambda s: s.get("states", 0))
         best = largest["speedup"]
         if enforce:
             require(best >= SPEEDUP_FLOOR,
-                    f"largest dining-N CNDFS speedup {best:.2f}x at "
+                    f"largest dining-N check_all speedup {best:.2f}x at "
                     f"{largest['threads_max']} threads is below {SPEEDUP_FLOOR}x")
     elif enforce:
-        fail("no dining-N CNDFS scaling row with a 4-thread measurement")
+        fail("no dining-N check_all scaling row with a 4-thread measurement")
 
     print(f"{sys.argv[1]} ok: {len(rows)} row(s), {len(scaling)} scaling group(s), "
-          f"best dining CNDFS speedup {best:.2f}x ({verdict})")
+          f"best dining check_all speedup {best:.2f}x ({verdict})")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 #include "src/analysis/absint.hpp"
 
 #include <algorithm>
-#include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "src/fts/proof_rules.hpp"
 #include "src/support/check.hpp"
@@ -21,33 +22,29 @@ Interval join(Interval a, Interval b) {
 
 Interval meet(Interval a, Interval b) { return {std::max(a.lo, b.lo), std::min(a.hi, b.hi)}; }
 
-/// Abstract image of one transition from the box `env`: guard conjuncts are
-/// met into a copy of the box (an empty meet means the transition cannot
-/// fire from any valuation in `env`), then effects apply *sequentially in
-/// place*, mirroring Fts::apply — later effects read earlier writes.
-struct TransferOut {
-  bool enabled = false;                ///< guard satisfiable under env
-  std::vector<Interval> post;          ///< post-box; meaningful iff enabled
-  std::vector<std::size_t> wrap_vars;  ///< effect targets that may wrap
-};
-
-TransferOut transfer(const FtsSpec& spec, const std::vector<Interval>& env,
-                     const FtsSpec::Trans& t) {
-  TransferOut out;
-  std::vector<Interval> box = env;
+/// Abstract image of one transition from the box `env`, written into
+/// `post`: guard conjuncts are met into a copy of the box (an empty meet
+/// means the transition cannot fire from any valuation in `env`; false is
+/// returned and `post` is meaningless), then effects apply *sequentially in
+/// place*, mirroring Fts::apply — later effects read earlier writes. When
+/// `wrap_vars` is given it collects the effect targets that may wrap. The
+/// fixpoint calls this once per transition per round, so `post` is a buffer
+/// the caller reuses.
+bool transfer(const FtsSpec& spec, const std::vector<Interval>& env, const FtsSpec::Trans& t,
+              std::vector<Interval>& post, std::vector<std::size_t>* wrap_vars = nullptr) {
+  post.assign(env.begin(), env.end());
   for (const auto& c : t.guard) {
-    Interval& iv = box[c.var];
+    Interval& iv = post[c.var];
     if (c.op == 0) iv.hi = std::min(iv.hi, c.rhs);         // var ≤ rhs
     else if (c.op == 1) iv.lo = std::max(iv.lo, c.rhs);    // var ≥ rhs
     else iv = meet(iv, {c.rhs, c.rhs});                    // var = rhs
-    if (iv.is_bottom()) return out;
+    if (iv.is_bottom()) return false;
   }
-  out.enabled = true;
   for (const auto& e : t.effects) {
     const auto& dom = spec.vars[e.var];
     // 64-bit shift arithmetic: corpus-supplied `add` values may be large.
-    const long long lo = static_cast<long long>(box[e.src].lo) + e.add;
-    const long long hi = static_cast<long long>(box[e.src].hi) + e.add;
+    const long long lo = static_cast<long long>(post[e.src].lo) + e.add;
+    const long long hi = static_cast<long long>(post[e.src].hi) + e.add;
     const long long dlo = dom.lo, dhi = dom.hi;
     const long long span = dhi - dlo + 1;
     Interval img;
@@ -66,13 +63,12 @@ TransferOut transfer(const FtsSpec& spec, const std::vector<Interval>& env,
       // A contiguous image stays contiguous unless it straddles the seam.
       img = wlo <= whi ? Interval{wlo, whi} : Interval{dom.lo, dom.hi};
     }
-    if (wraps &&
-        std::find(out.wrap_vars.begin(), out.wrap_vars.end(), e.var) == out.wrap_vars.end())
-      out.wrap_vars.push_back(e.var);
-    box[e.var] = img;
+    if (wraps && wrap_vars &&
+        std::find(wrap_vars->begin(), wrap_vars->end(), e.var) == wrap_vars->end())
+      wrap_vars->push_back(e.var);
+    post[e.var] = img;
   }
-  out.post = std::move(box);
-  return out;
+  return true;
 }
 
 void validate(const FtsSpec& spec) {
@@ -127,15 +123,15 @@ AbsintResult analyze_intervals(const FtsSpec& spec) {
   // independently of domain size by jumping unstable bounds straight to the
   // domain bounds.
   constexpr std::size_t kWidenAfter = 64;
+  std::vector<Interval> post;
   bool changed = !spec.transitions.empty();
   while (changed) {
     changed = false;
     ++result.iterations;
     for (const auto& t : spec.transitions) {
-      const TransferOut out = transfer(spec, env, t);
-      if (!out.enabled) continue;
+      if (!transfer(spec, env, t, post)) continue;
       for (std::size_t v = 0; v < env.size(); ++v) {
-        const Interval j = join(env[v], out.post[v]);
+        const Interval j = join(env[v], post[v]);
         if (j.lo == env[v].lo && j.hi == env[v].hi) continue;
         if (result.iterations > kWidenAfter) {
           env[v] = {spec.vars[v].lo, spec.vars[v].hi};
@@ -154,9 +150,8 @@ AbsintResult analyze_intervals(const FtsSpec& spec) {
   if (!spec.vars.empty()) {
     std::vector<Interval> down = initial_box(spec);
     for (const auto& t : spec.transitions) {
-      const TransferOut out = transfer(spec, env, t);
-      if (!out.enabled) continue;
-      for (std::size_t v = 0; v < env.size(); ++v) down[v] = join(down[v], out.post[v]);
+      if (!transfer(spec, env, t, post)) continue;
+      for (std::size_t v = 0; v < env.size(); ++v) down[v] = join(down[v], post[v]);
     }
     for (std::size_t v = 0; v < env.size(); ++v) {
       const Interval m = meet(down[v], env[v]);
@@ -176,15 +171,16 @@ AbsintResult analyze_intervals(const FtsSpec& spec) {
     vi.tightened = env[v].lo > var.lo || env[v].hi < var.hi;
     result.invariants.push_back(std::move(vi));
   }
+  std::vector<std::size_t> wrap_vars;
   for (const auto& t : spec.transitions) {
-    const TransferOut out = transfer(spec, env, t);
+    wrap_vars.clear();
     AbsintResult::TransVerdict tv;
     tv.name = t.name;
-    if (!out.enabled) {
+    if (!transfer(spec, env, t, post, &wrap_vars)) {
       tv.dead = true;
     } else {
-      tv.may_wrap = !out.wrap_vars.empty();
-      for (std::size_t v : out.wrap_vars) tv.wrap_vars.push_back(spec.vars[v].name);
+      tv.may_wrap = !wrap_vars.empty();
+      for (std::size_t v : wrap_vars) tv.wrap_vars.push_back(spec.vars[v].name);
     }
     result.transitions.push_back(std::move(tv));
   }
@@ -267,17 +263,28 @@ Tri tri_not(Tri t) {
 struct ProverState {
   FtsSpec spec;
   AbsintResult inv;
-  /// atom name → (variable index, true for "<v>hi" / false for "<v>lo"),
-  /// the interval-decidable vocabulary FtsSpec::atoms() publishes.
-  std::map<std::string, std::pair<std::size_t, bool>, std::less<>> atom_of;
   StaticProverOptions options;
   bool certify_done = false;
 };
 
+/// The interval-decidable vocabulary FtsSpec::atoms() publishes: "<v>hi" /
+/// "<v>lo" → (variable index, true for hi). Like atoms(), a later variable
+/// of the same name wins.
+std::optional<std::pair<std::size_t, bool>> atom_var(const FtsSpec& spec,
+                                                     std::string_view name) {
+  if (name.size() < 2) return std::nullopt;
+  const std::string_view suffix = name.substr(name.size() - 2);
+  if (suffix != "hi" && suffix != "lo") return std::nullopt;
+  const std::string_view var = name.substr(0, name.size() - 2);
+  for (std::size_t v = spec.vars.size(); v-- > 0;)
+    if (spec.vars[v].name == var) return std::pair{v, suffix == "hi"};
+  return std::nullopt;
+}
+
 Tri atom_truth_in_box(const ProverState& st, const std::string& name) {
-  const auto it = st.atom_of.find(name);
-  if (it == st.atom_of.end()) return Tri::Unknown;
-  const auto [var, is_hi] = it->second;
+  const auto atom = atom_var(st.spec, name);
+  if (!atom) return Tri::Unknown;
+  const auto [var, is_hi] = *atom;
   const auto& vi = st.inv.invariants[var];
   const int bound = is_hi ? vi.dom_hi : vi.dom_lo;
   if (vi.inv.lo == vi.inv.hi && vi.inv.lo == bound) return Tri::True;
@@ -286,9 +293,9 @@ Tri atom_truth_in_box(const ProverState& st, const std::string& name) {
 }
 
 Tri atom_truth_at_init(const ProverState& st, const std::string& name) {
-  const auto it = st.atom_of.find(name);
-  if (it == st.atom_of.end()) return Tri::Unknown;
-  const auto [var, is_hi] = it->second;
+  const auto atom = atom_var(st.spec, name);
+  if (!atom) return Tri::Unknown;
+  const auto [var, is_hi] = *atom;
   const auto& v = st.spec.vars[var];
   return v.init == (is_hi ? v.hi : v.lo) ? Tri::True : Tri::False;
 }
@@ -382,10 +389,6 @@ std::function<std::optional<fts::CheckResult>(const ltl::Formula&)> make_static_
   state->spec = spec;
   state->inv = analyze_intervals(spec);
   state->options = options;
-  for (std::size_t v = 0; v < spec.vars.size(); ++v) {
-    state->atom_of[spec.vars[v].name + "hi"] = {v, true};
-    state->atom_of[spec.vars[v].name + "lo"] = {v, false};
-  }
   return [state](const ltl::Formula& f) -> std::optional<fts::CheckResult> {
     if (!provable(*state, f)) return std::nullopt;
     certify_box(*state);

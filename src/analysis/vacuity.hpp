@@ -58,7 +58,7 @@ struct MutantCheck {
   ltl::Polarity polarity;   ///< its polarity in the requirement
   std::string replacement;  ///< "true" or "false"
   std::string text;         ///< the full mutant formula
-  /// "constant", "safety-prefix", "guarantee-dual", "nested-DFS", "SCC"
+  /// "constant", "safety-prefix", "guarantee-dual", "SCC"
   /// (suffixed " (NBA)" on tableau fallback), or "skipped" (mixed polarity,
   /// outside every engine's fragment, or over the mutant cap).
   std::string engine = "skipped";
@@ -93,8 +93,7 @@ struct VacuityStats {
   std::size_t mutants_skipped = 0;
   std::size_t safety_prefix = 0;   ///< mutants decided by the closed-prefix scan
   std::size_t guarantee_dual = 0;  ///< mutants decided through the safety dual
-  std::size_t nested_dfs = 0;      ///< mutants on the full nested-DFS ω-product
-  std::size_t scc = 0;             ///< mutants on the full SCC ω-product
+  std::size_t scc = 0;             ///< mutants on the full ω-product (SCC search)
   std::size_t constant = 0;        ///< atom-free mutants decided by evaluation
   std::size_t unknown = 0;         ///< mutants whose check exhausted its budget
 };

@@ -7,6 +7,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <thread>
 
@@ -31,7 +33,6 @@ using omega::MarkSet;
 
 std::string_view to_string(CheckEngine e) {
   switch (e) {
-    case CheckEngine::NestedDfs: return "nested-DFS";
     case CheckEngine::Scc: return "SCC";
     case CheckEngine::SafetyPrefix: return "safety-prefix";
     case CheckEngine::GuaranteeDual: return "guarantee-dual";
@@ -72,39 +73,66 @@ double elapsed(Clock::time_point since) {
   return std::chrono::duration<double>(Clock::now() - since).count();
 }
 
-// The NegSpecView / product-key helpers live in checker_detail.hpp so the
-// multicore engines (parallel.cpp) share them.
-using detail::NegSpecView;
 using detail::aut_of;
 using detail::node_of;
 using detail::pack;
 
-NegSpecView deterministic_view(std::shared_ptr<omega::DetOmega> m) {
+/// The compiled ¬spec automaton as a successor table built once per check:
+/// the successors of (q, s) are targets[offsets[q·|Σ| + s] ..
+/// offsets[q·|Σ| + s + 1]). A DetOmega fills one entry per (state, symbol),
+/// or none where the guarantee dual prunes a dead target; the NBA tableau
+/// fills a per-symbol CSR. The product search reads spans from it, so an
+/// expansion neither calls a closure nor allocates.
+struct NegSpecView {
+  std::vector<omega::State> initial;
+  std::size_t symbols = 0;
+  std::vector<std::uint32_t> offsets{0};
+  std::vector<omega::State> targets;
+  std::vector<MarkSet> marks;  // per automaton state
+  Acceptance acceptance = Acceptance::t();
+
+  std::size_t state_count() const { return marks.size(); }
+  std::span<const omega::State> step(omega::State q, lang::Symbol s) const {
+    const std::size_t row = std::size_t{q} * symbols + s;
+    return {targets.data() + offsets[row], targets.data() + offsets[row + 1]};
+  }
+};
+
+/// det(¬spec) as a view. With `live` (the guarantee dual: det(¬spec) of a
+/// guarantee spec recognizes a closed language) the dead states are pruned
+/// and the acceptance becomes ⊤ — a run is accepting iff it stays live.
+NegSpecView deterministic_view(const omega::DetOmega& m,
+                               const std::vector<bool>* live = nullptr) {
   NegSpecView v;
-  v.initial = {m->initial()};
-  v.step = [m](omega::State q, lang::Symbol s) {
-    return std::vector<omega::State>{m->next(q, s)};
-  };
-  v.marks = [m](omega::State q) { return m->marks(q); };
-  v.acceptance = m->acceptance();
-  v.state_count = m->state_count();
+  v.symbols = m.alphabet().size();
+  v.offsets.reserve(m.state_count() * v.symbols + 1);
+  for (omega::State q = 0; q < m.state_count(); ++q) {
+    v.marks.push_back(live ? MarkSet{0} : m.marks(q));
+    for (lang::Symbol s = 0; s < v.symbols; ++s) {
+      const omega::State t = m.next(q, s);
+      if (!live || (*live)[t]) v.targets.push_back(t);
+      v.offsets.push_back(static_cast<std::uint32_t>(v.targets.size()));
+    }
+  }
+  if (!live || (*live)[m.initial()]) v.initial = {m.initial()};
+  v.acceptance = live ? Acceptance::t() : m.acceptance();
   return v;
 }
 
-NegSpecView nba_view(std::shared_ptr<omega::Nba> n) {
+NegSpecView nba_view(const omega::Nba& n, std::size_t symbols) {
   NegSpecView v;
-  v.initial = n->initial_states();
-  v.step = [n](omega::State q, lang::Symbol s) {
-    std::vector<omega::State> out;
-    for (auto [sym, t] : n->edges(q))
-      if (sym == s) out.push_back(t);
-    return out;
-  };
-  v.marks = [n](omega::State q) {
-    return n->accepting(q) ? omega::mark_bit(0) : MarkSet{0};
-  };
+  v.symbols = symbols;
+  v.initial = n.initial_states();
+  v.offsets.reserve(n.state_count() * symbols + 1);
+  for (omega::State q = 0; q < n.state_count(); ++q) {
+    v.marks.push_back(n.accepting(q) ? omega::mark_bit(0) : MarkSet{0});
+    for (lang::Symbol s = 0; s < symbols; ++s) {
+      for (auto [sym, t] : n.edges(q))
+        if (sym == s) v.targets.push_back(t);
+      v.offsets.push_back(static_cast<std::uint32_t>(v.targets.size()));
+    }
+  }
   v.acceptance = Acceptance::buchi(0);
-  v.state_count = n->state_count();
   return v;
 }
 
@@ -176,60 +204,100 @@ std::vector<lang::Symbol> label_nodes(const Fts& system, const StateGraph& sg,
   return labels;
 }
 
-/// If acc is a pure conjunction of Inf atoms (generalized Büchi), collects
-/// the required marks and returns true; otherwise the product needs the
-/// general Emerson–Lei good-loop engine.
-bool collect_inf_conjuncts(const Acceptance& acc, std::vector<Mark>& out) {
+/// If acc is a pure conjunction of Inf atoms (generalized Büchi), returns
+/// the required marks; nullopt when it mentions Fin or a disjunction.
+std::optional<MarkSet> inf_conjuncts(const Acceptance& acc) {
   switch (acc.kind()) {
     case Acceptance::Kind::True:
-      return true;
+      return MarkSet{0};
     case Acceptance::Kind::Inf:
-      out.push_back(acc.mark());
-      return true;
+      return omega::mark_bit(acc.mark());
     case Acceptance::Kind::And: {
-      for (const auto& c : acc.children())
-        if (!collect_inf_conjuncts(c, out)) return false;
-      return true;
+      MarkSet req = 0;
+      for (const auto& c : acc.children()) {
+        auto sub = inf_conjuncts(c);
+        if (!sub) return std::nullopt;
+        req |= *sub;
+      }
+      return req;
     }
     default:
-      return false;
+      return std::nullopt;
   }
 }
 
-/// On-the-fly emptiness for generalized-Büchi product acceptance: the
-/// product is interned lazily while a nested DFS (CVWY with the blue-stack
-/// shortcut) searches for an accepting lasso, so a violation is reported
-/// before the full product exists. Degeneralization is by counter: a cell is
-/// (product state, index of the next required mark to see); the counter
-/// advances on marked cells and a cell is accepting when it completes the
-/// round.
-class OnTheFlyEngine {
- public:
-  struct Cell {
-    std::uint32_t pid;  // index of the (node, automaton state) pair
-    std::uint32_t c;    // degeneralization counter
-    bool operator==(const Cell&) const = default;
-  };
+/// A violating product lasso as product-state ids: the prefix, then a loop
+/// whose last state steps back to loop.front().
+struct PidLasso {
+  std::vector<std::uint32_t> prefix, loop;
+};
 
-  OnTheFlyEngine(const StateGraph& sg, const std::vector<lang::Symbol>& labels,
-                 const std::vector<MarkSet>& fair_marks, Mark shift, const NegSpecView& neg,
-                 std::vector<Mark> req, const Budget& budget)
+/// On-the-fly emptiness over the (state-graph node × ¬spec state) product:
+/// one iterative Tarjan DFS, interning product states as it reaches them,
+/// with Couvreur's root stack carrying the union of acceptance marks of each
+/// partial SCC.
+///   - Pure Inf acceptance (generalized Büchi): the search stops as soon as
+///     a merge leaves a partial SCC carrying every required mark — a
+///     violation is reported before the full product exists.
+///   - Acceptance mentioning Fin (strong fairness, Fin-shaped ¬spec): when
+///     an SCC closes, omega::find_good_loop decides its sub-graph.
+/// Pids are DFS preorder numbers, so the live stack and the root stack are
+/// both increasing in pid and no separate index/lowlink table is kept.
+class ProductSearch {
+ public:
+  ProductSearch(const StateGraph& sg, const std::vector<lang::Symbol>& labels,
+                const std::vector<MarkSet>& fair_marks, Mark shift, const NegSpecView& neg,
+                const Acceptance& acc, const Budget& budget)
       : sg_(sg),
         labels_(labels),
         fair_marks_(fair_marks),
         shift_(shift),
         neg_(neg),
-        req_(std::move(req)),
-        k_(std::max<std::size_t>(req_.size(), 1)),
+        acc_(acc),
+        req_(inf_conjuncts(acc)),
         budget_(budget) {}
 
-  /// Some accepting product lasso as (prefix cells, loop cells), or nullopt
-  /// when every fair computation satisfies the spec.
-  std::optional<std::pair<std::vector<Cell>, std::vector<Cell>>> run() {
+  /// Some accepting product lasso, or nullopt when every fair computation
+  /// satisfies the spec. Throws BudgetExhausted.
+  std::optional<PidLasso> run() {
     for (omega::State q0 : neg_.initial) {
-      Cell root{intern(0, q0), 0};
-      if (flags(root) & kBlue) continue;
-      if (auto lasso = blue_dfs(root)) return lasso;
+      auto [root, fresh] = intern(0, q0);
+      if (!fresh) continue;
+      push(root);
+      while (!frames_.empty()) {
+        poll_budget();
+        Frame& f = frames_.back();
+        if (f.aut != f.aut_end) {
+          const auto& edges = sg_.edges[f.node];
+          const std::size_t target = edges[f.edge].first;
+          const omega::State q2 = *f.aut;
+          if (++f.edge == edges.size()) {
+            f.edge = 0;
+            ++f.aut;
+          }
+          auto [t, is_new] = intern(target, q2);
+          if (is_new) {
+            push(t);
+          } else if (!dead_[t]) {
+            // Back or cross edge into the live stack: every root above t
+            // joins t's partial SCC, which now carries a cycle.
+            MarkSet merged = 0;
+            while (roots_.back().pid > t) {
+              merged |= roots_.back().marks;
+              roots_.pop_back();
+            }
+            Root& top = roots_.back();
+            top.marks |= merged;
+            top.cyclic = true;
+            if (req_ && (top.marks & *req_) == *req_) return partial_scc_lasso(top.pid);
+          }
+          continue;
+        }
+        if (roots_.back().pid == f.pid) {
+          if (auto lasso = close_scc()) return lasso;
+        }
+        frames_.pop_back();
+      }
     }
     return std::nullopt;
   }
@@ -237,28 +305,36 @@ class OnTheFlyEngine {
   /// Distinct (node, automaton state) pairs interned so far.
   std::size_t product_states() const { return pids_.size(); }
 
-  std::size_t node_of_cell(Cell cell) const { return node_of(pids_[cell.pid]); }
+  std::size_t node_of_pid(std::uint32_t pid) const { return node_of(pids_[pid]); }
 
  private:
-  static constexpr std::uint8_t kBlue = 1, kRed = 2, kOnStack = 4;
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
+  /// A DFS frame iterates its successors lazily: each ¬spec successor of
+  /// the frame's automaton state paired with each state-graph edge.
   struct Frame {
     std::uint32_t pid;
-    std::uint32_t c;
-    std::vector<std::uint32_t> succ;
-    std::size_t i = 0;
+    std::uint32_t node;
+    const omega::State* aut;
+    const omega::State* aut_end;
+    std::uint32_t edge;
+  };
+  /// A partial SCC on Couvreur's root stack.
+  struct Root {
+    std::uint32_t pid;  // its first-visited state
+    MarkSet marks;      // union of the marks of its states
+    bool cyclic;        // some edge closes a cycle inside it
   };
 
-  std::uint32_t intern(std::size_t n, omega::State q) {
+  std::pair<std::uint32_t, bool> intern(std::size_t n, omega::State q) {
     auto [idx, inserted] = pids_.intern(pack(n, q));
     if (inserted) {
       // The pair is already in the interner, but on exhaustion the whole
       // search unwinds immediately, so the extra key is never observed.
       budget_.require(pids_.size() - 1);
-      marks_.push_back(fair_marks_[n] | (neg_.marks(q) << shift_));
-      cell_flags_.resize(pids_.size() * k_, 0);
+      dead_.push_back(0);
     }
-    return static_cast<std::uint32_t>(idx);
+    return {static_cast<std::uint32_t>(idx), inserted};
   }
 
   /// Deadline/cancellation poll amortized over the DFS steps (the state cap
@@ -269,109 +345,172 @@ class OnTheFlyEngine {
     if (Outcome o = budget_.poll(); !is_complete(o)) throw BudgetExhausted(o);
   }
 
-  std::vector<std::uint32_t> successors(std::uint32_t pid) {
+  MarkSet marks_of(std::uint32_t pid) const {
+    const std::uint64_t key = pids_[pid];
+    return fair_marks_[node_of(key)] | (neg_.marks[aut_of(key)] << shift_);
+  }
+
+  void push(std::uint32_t pid) {
+    const std::size_t n = node_of(pids_[pid]);
+    auto succ = neg_.step(aut_of(pids_[pid]), labels_[n]);
+    const omega::State* end = sg_.edges[n].empty() ? succ.data() : succ.data() + succ.size();
+    frames_.push_back({pid, static_cast<std::uint32_t>(n), succ.data(), end, 0});
+    roots_.push_back({pid, marks_of(pid), false});
+    live_.push_back(pid);
+  }
+
+  /// Calls f(t) for every already-interned successor t of pid.
+  template <class F>
+  void for_each_interned_succ(std::uint32_t pid, F&& f) const {
     const std::uint64_t key = pids_[pid];
     const std::size_t n = node_of(key);
-    std::vector<std::uint32_t> out;
     for (omega::State q2 : neg_.step(aut_of(key), labels_[n]))
       for (auto [target, t] : sg_.edges[n]) {
         (void)t;
-        out.push_back(intern(target, q2));
+        const std::size_t idx = pids_.find(pack(target, q2));
+        if (idx != pids_.npos) f(static_cast<std::uint32_t>(idx));
       }
-    return out;
   }
 
-  bool has_required_mark(std::uint32_t pid, std::size_t i) const {
-    return req_.empty() || (marks_[pid] & omega::mark_bit(req_[i]));
-  }
-  std::uint32_t advance(std::uint32_t pid, std::uint32_t c) const {
-    return has_required_mark(pid, c) ? static_cast<std::uint32_t>((c + 1) % k_) : c;
-  }
-  bool accepting(Cell cell) const {
-    return cell.c == k_ - 1 && has_required_mark(cell.pid, k_ - 1);
+  /// Position in live_ of the first state of the partial SCC rooted at root.
+  std::size_t live_begin(std::uint32_t root) const {
+    return static_cast<std::size_t>(std::lower_bound(live_.begin(), live_.end(), root) -
+                                    live_.begin());
   }
 
-  std::uint8_t& flags(Cell cell) { return cell_flags_[std::size_t{cell.pid} * k_ + cell.c]; }
-
-  std::optional<std::pair<std::vector<Cell>, std::vector<Cell>>> blue_dfs(Cell root) {
-    std::vector<Frame> frames;
-    flags(root) |= kBlue | kOnStack;
-    frames.push_back({root.pid, root.c, successors(root.pid), 0});
-    while (!frames.empty()) {
-      poll_budget();
-      Frame& f = frames.back();
-      if (f.i < f.succ.size()) {
-        Cell next{f.succ[f.i++], advance(f.pid, f.c)};
-        if (!(flags(next) & kBlue)) {
-          flags(next) |= kBlue | kOnStack;
-          frames.push_back({next.pid, next.c, successors(next.pid), 0});
-        }
-        continue;
-      }
-      const Cell cur{f.pid, f.c};
-      frames.pop_back();  // postorder; `frames` now holds cur's ancestors
-      if (accepting(cur)) {
-        if (auto red_path = red_dfs(cur)) return assemble(frames, cur, *red_path);
-      }
-      flags(cur) &= static_cast<std::uint8_t>(~kOnStack);
+  /// The top root's frame finished: pop its SCC off the live stack. Under
+  /// Fin-containing acceptance the SCC's sub-graph is searched for a good
+  /// loop first.
+  std::optional<PidLasso> close_scc() {
+    const Root root = roots_.back();
+    roots_.pop_back();
+    const std::size_t begin = live_begin(root.pid);
+    if (!req_ && root.cyclic && !acc_.restrict_to(root.marks).is_false()) {
+      const std::span<const std::uint32_t> scc(live_.data() + begin, live_.size() - begin);
+      if (auto lasso = scc_good_loop_lasso(root.pid, scc)) return lasso;
     }
+    for (std::size_t i = begin; i < live_.size(); ++i) dead_[live_[i]] = 1;
+    live_.resize(begin);
     return std::nullopt;
   }
 
-  /// Red search from an accepting seed: a path seed → ... → u with u on the
-  /// blue DFS stack (u may be the seed itself). Red cells persist across
-  /// seeds, keeping the whole nested search linear.
-  std::optional<std::vector<Cell>> red_dfs(Cell seed) {
-    if (flags(seed) & kRed) return std::nullopt;
-    flags(seed) |= kRed;
-    std::vector<Frame> frames{{seed.pid, seed.c, successors(seed.pid), 0}};
-    while (!frames.empty()) {
-      poll_budget();
-      Frame& f = frames.back();
-      if (f.i == f.succ.size()) {
-        frames.pop_back();
-        continue;
-      }
-      Cell next{f.succ[f.i++], advance(f.pid, f.c)};
-      if (flags(next) & kOnStack) {
-        std::vector<Cell> path;
-        path.reserve(frames.size() + 1);
-        for (const Frame& fr : frames) path.push_back({fr.pid, fr.c});
-        path.push_back(next);
-        return path;
-      }
-      if (!(flags(next) & kRed)) {
-        flags(next) |= kRed;
-        frames.push_back({next.pid, next.c, successors(next.pid), 0});
-      }
-    }
-    return std::nullopt;
+  /// Region-local indices (local_[pid]) for a set of pids; reset by
+  /// clear_local.
+  void index_local(std::span<const std::uint32_t> region) {
+    if (local_.size() < pids_.size()) local_.resize(pids_.size(), kNone);
+    for (std::uint32_t j = 0; j < region.size(); ++j) local_[region[j]] = j;
+  }
+  void clear_local(std::span<const std::uint32_t> region) {
+    for (std::uint32_t pid : region) local_[pid] = kNone;
   }
 
-  /// Lasso from the blue ancestors of the seed plus the red path seed→…→u:
-  /// prefix = ancestors, loop = seed →red→ u →blue stack→ last ancestor
-  /// (whose successor closes the loop back at the seed).
-  std::pair<std::vector<Cell>, std::vector<Cell>> assemble(const std::vector<Frame>& frames,
-                                                           Cell seed,
-                                                           const std::vector<Cell>& red_path) {
-    std::vector<Cell> prefix;
-    prefix.reserve(frames.size());
-    for (const Frame& fr : frames) prefix.push_back({fr.pid, fr.c});
-    const Cell u = red_path.back();
-    std::vector<Cell> loop(red_path.begin(), red_path.end() - 1);  // seed .. pred(u)
-    if (!(u == seed)) {
-      std::size_t idx = frames.size();
-      for (std::size_t j = frames.size(); j-- > 0;)
-        if (Cell{frames[j].pid, frames[j].c} == u) {
-          idx = j;
-          break;
-        }
-      MPH_ASSERT(idx < frames.size());  // u is on the blue stack
-      for (std::size_t j = idx; j < frames.size(); ++j)
-        loop.push_back({frames[j].pid, frames[j].c});
+  std::optional<PidLasso> scc_good_loop_lasso(std::uint32_t root,
+                                              std::span<const std::uint32_t> scc) {
+    index_local(scc);
+    omega::MarkedGraph sub;
+    sub.succ.resize(scc.size());
+    sub.marks.resize(scc.size());
+    for (std::uint32_t j = 0; j < scc.size(); ++j) {
+      sub.marks[j] = marks_of(scc[j]);
+      for_each_interned_succ(scc[j], [&](std::uint32_t t) {
+        if (local_[t] != kNone) sub.succ[j].push_back(local_[t]);
+      });
+      std::sort(sub.succ[j].begin(), sub.succ[j].end());
+      sub.succ[j].erase(std::unique(sub.succ[j].begin(), sub.succ[j].end()), sub.succ[j].end());
     }
-    MPH_ASSERT(!loop.empty());
-    return {std::move(prefix), std::move(loop)};
+    const auto loop = omega::find_good_loop(sub, acc_);
+    std::optional<PidLasso> lasso;
+    if (loop) {
+      std::vector<char> in_loop(scc.size(), 0);
+      MarkSet cover = 0;
+      for (omega::State j : *loop) {
+        in_loop[j] = 1;
+        cover |= sub.marks[j];
+      }
+      // The loop visits a state for every mark of the good loop set and
+      // stays inside it, so it sees exactly the marks find_good_loop
+      // accepted.
+      lasso = lasso_through(root, scc, in_loop, cover);
+    }
+    clear_local(scc);
+    return lasso;
+  }
+
+  /// Early exit: the partial SCC rooted at `root` carries every required
+  /// Inf mark.
+  PidLasso partial_scc_lasso(std::uint32_t root) {
+    const std::size_t begin = live_begin(root);
+    const std::span<const std::uint32_t> region(live_.data() + begin, live_.size() - begin);
+    index_local(region);
+    PidLasso lasso = lasso_through(root, region, std::vector<char>(region.size(), 1), *req_);
+    clear_local(region);
+    return lasso;
+  }
+
+  /// Counterexample tail shared by both exits. `region` is a strongly
+  /// connected set of live states containing `root` (indexed in local_),
+  /// `in_loop` a strongly connected subset of it (by region-local index).
+  /// Prefix: the DFS path to root, then a path inside the region to the
+  /// loop set. Loop: a cycle inside the loop set through a state carrying
+  /// each mark of `cover`.
+  PidLasso lasso_through(std::uint32_t root, std::span<const std::uint32_t> region,
+                         const std::vector<char>& in_loop, MarkSet cover) {
+    auto in_region = [&](std::uint32_t t) { return local_[t] != kNone; };
+    auto looped = [&](std::uint32_t t) { return in_region(t) && in_loop[local_[t]]; };
+    // Shortest path from `from` (inclusive) to a state satisfying `goal`
+    // (inclusive), through states satisfying `within`; with `step` at least
+    // one edge long.
+    auto path = [&](std::uint32_t from, auto&& goal, auto&& within, bool step) {
+      if (!step && goal(from)) return std::vector<std::uint32_t>{from};
+      std::vector<std::uint32_t> parent(region.size(), kNone);
+      if (!step) parent[local_[from]] = from;
+      std::deque<std::uint32_t> queue{from};
+      while (!queue.empty()) {
+        const std::uint32_t u = queue.front();
+        queue.pop_front();
+        std::optional<std::uint32_t> hit;
+        for_each_interned_succ(u, [&](std::uint32_t t) {
+          if (hit || !within(t) || parent[local_[t]] != kNone) return;
+          parent[local_[t]] = u;
+          if (goal(t)) hit = t;
+          queue.push_back(t);
+        });
+        if (!hit) continue;
+        std::vector<std::uint32_t> rev{*hit};
+        for (std::uint32_t c = parent[local_[*hit]]; c != from; c = parent[local_[c]])
+          rev.push_back(c);
+        rev.push_back(from);
+        return std::vector<std::uint32_t>(rev.rbegin(), rev.rend());
+      }
+      MPH_ASSERT(false);  // region and loop set are strongly connected
+    };
+
+    PidLasso lasso;
+    const auto root_frame = std::lower_bound(
+        frames_.begin(), frames_.end(), root,
+        [](const Frame& f, std::uint32_t pid) { return f.pid < pid; });
+    MPH_ASSERT(root_frame != frames_.end() && root_frame->pid == root);
+    for (auto it = frames_.begin(); it != root_frame; ++it) lasso.prefix.push_back(it->pid);
+    const auto entry = path(root, looped, in_region, false);
+    lasso.prefix.insert(lasso.prefix.end(), entry.begin(), entry.end() - 1);
+
+    const std::uint32_t anchor = entry.back();
+    std::uint32_t cur = anchor;
+    MarkSet missing = cover & ~marks_of(anchor);
+    lasso.loop.push_back(anchor);
+    while (missing) {
+      const auto leg = path(
+          cur, [&](std::uint32_t t) { return looped(t) && (marks_of(t) & missing); }, looped,
+          false);
+      for (auto it = leg.begin() + 1; it != leg.end(); ++it) {
+        lasso.loop.push_back(*it);
+        missing &= ~marks_of(*it);
+      }
+      cur = leg.back();
+    }
+    const auto back = path(cur, [&](std::uint32_t t) { return t == anchor; }, looped, true);
+    lasso.loop.insert(lasso.loop.end(), back.begin() + 1, back.end() - 1);
+    return lasso;
   }
 
   const StateGraph& sg_;
@@ -379,13 +518,16 @@ class OnTheFlyEngine {
   const std::vector<MarkSet>& fair_marks_;
   const Mark shift_;
   const NegSpecView& neg_;
-  const std::vector<Mark> req_;
-  const std::size_t k_;
+  const Acceptance& acc_;
+  const std::optional<MarkSet> req_;  // required Inf marks; nullopt under Fin
   const Budget& budget_;
   std::uint64_t steps_ = 0;
   FlatInterner<std::uint64_t, IntHash> pids_;
-  std::vector<MarkSet> marks_;            // per pid
-  std::vector<std::uint8_t> cell_flags_;  // per pid × counter
+  std::vector<std::uint8_t> dead_;    // per pid: its SCC has closed
+  std::vector<Frame> frames_;         // DFS stack
+  std::vector<Root> roots_;           // Couvreur's root stack
+  std::vector<std::uint32_t> live_;   // Tarjan stack of states in open SCCs
+  std::vector<std::uint32_t> local_;  // per pid: index in the region being searched
 };
 
 /// Label cache shared by every spec over the same atom vocabulary.
@@ -605,40 +747,32 @@ CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair,
   // det(¬spec) recognizes a *closed* language (shortcut 2): restrict it to
   // its live states and acceptance becomes ⊤ — the search degrades to a
   // fairness-only lasso hunt instead of inheriting the Fin-shaped acceptance
-  // that forces the SCC engine. Otherwise: deterministic route first, NBA
-  // tableau as fallback.
+  // of the full ¬spec. Otherwise: deterministic route first, NBA tableau as
+  // fallback.
   auto t_compile = Clock::now();
   NegSpecView neg;
   bool dual = false;
   if (dispatch && !syn.safety && syn.guarantee) {
-    std::shared_ptr<omega::DetOmega> m;
+    std::optional<omega::DetOmega> m;
     try {
-      m = std::make_shared<omega::DetOmega>(ltl::compile(f_not(routed), cache.alphabet));
+      m = ltl::compile(f_not(routed), cache.alphabet);
     } catch (const std::invalid_argument&) {
       // Outside the old rewrite fragment: negate the normal form instead
       // (the negation of a hierarchy form is still a hierarchy form).
       if (get_normal() && !(routed == *normal)) try {
-        m = std::make_shared<omega::DetOmega>(ltl::compile(f_not(*normal), cache.alphabet));
+        m = ltl::compile(f_not(*normal), cache.alphabet);
         result.stats.class_source = ClassSource::Normalized;
       } catch (const std::invalid_argument&) {
       }
     }
     if (m) {
-      auto live = std::make_shared<const std::vector<bool>>(omega::live_states(*m));
-      if ((*live)[m->initial()]) neg.initial = {m->initial()};
-      neg.step = [m, live](omega::State q, lang::Symbol s) {
-        const omega::State t = m->next(q, s);
-        return (*live)[t] ? std::vector<omega::State>{t} : std::vector<omega::State>{};
-      };
-      neg.marks = [](omega::State) { return MarkSet{0}; };
-      neg.acceptance = Acceptance::t();
-      neg.state_count = m->state_count();
+      const std::vector<bool> live = omega::live_states(*m);
+      neg = deterministic_view(*m, &live);
       dual = true;
     }
   }
   if (!dual) try {
-    neg = deterministic_view(
-        std::make_shared<omega::DetOmega>(ltl::compile(f_not(spec), cache.alphabet)));
+    neg = deterministic_view(ltl::compile(f_not(spec), cache.alphabet));
   } catch (const std::invalid_argument&) {
     // Second chance: the ΔΓ-normal form (when one was obtained) is an
     // equivalent formula inside the deterministic fragment — negating a
@@ -647,8 +781,7 @@ CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair,
     bool rescued = false;
     if (get_normal()) {
       try {
-        neg = deterministic_view(
-            std::make_shared<omega::DetOmega>(ltl::compile(f_not(*normal), cache.alphabet)));
+        neg = deterministic_view(ltl::compile(f_not(*normal), cache.alphabet));
         rescued = true;
         result.stats.class_source = ClassSource::Normalized;
       } catch (const std::invalid_argument&) {
@@ -662,7 +795,7 @@ CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair,
       give_up(nba.outcome, "the ¬spec NBA tableau construction");
       return result;
     }
-    neg = nba_view(std::make_shared<omega::Nba>(std::move(*nba.value)));
+    neg = nba_view(*nba.value, cache.alphabet.size());
     if (diagnostics)
       diagnostics
           ->emit("MPH-V001", subject,
@@ -673,156 +806,43 @@ CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair,
     }
   }
   result.stats.compile_seconds = elapsed(t_compile);
-  result.stats.automaton_states = neg.state_count;
-  result.stats.product_bound = sg.nodes.size() * neg.state_count;
+  result.stats.automaton_states = neg.state_count();
+  result.stats.product_bound = sg.nodes.size() * neg.state_count();
 
   Acceptance acc =
       Acceptance::conj(Acceptance(fair.acceptance), neg.acceptance.shift(fair.mark_count));
   MPH_REQUIRE((acc.mentioned_marks() >> 63) == 0, "too many fairness marks");
 
+  // One on-the-fly SCC search decides every ω-product, whatever the
+  // acceptance shape and explore_threads (the search itself is sequential).
+  result.stats.engine = dual ? CheckEngine::GuaranteeDual : CheckEngine::Scc;
   auto emit_product_note = [&] {
     if (!diagnostics) return;
     diagnostics->emit(
         "MPH-V002", subject,
         "product of " + std::to_string(sg.nodes.size()) + " system states × " +
-            std::to_string(neg.state_count) + "-state ¬spec automaton built " +
+            std::to_string(neg.state_count()) + "-state ¬spec automaton built " +
             std::to_string(result.stats.product_states) + " of at most " +
-            std::to_string(result.stats.product_bound) + " states (" +
-            (result.stats.on_the_fly ? "on-the-fly nested DFS" : "SCC good-loop engine") +
+            std::to_string(result.stats.product_bound) + " states (on-the-fly SCC search" +
             (dual ? "; guarantee dual, fairness-only acceptance" : "") + ")");
   };
 
   auto t_search = Clock::now();
-  std::vector<Mark> req;
-  if (!options.force_scc && collect_inf_conjuncts(acc, req)) {
-    // Generalized Büchi: interleave product construction with a nested-DFS
-    // emptiness check — a violating lasso exits before the product is full.
-    std::sort(req.begin(), req.end());
-    req.erase(std::unique(req.begin(), req.end()), req.end());
-    result.stats.on_the_fly = true;
-    result.stats.engine = dual ? CheckEngine::GuaranteeDual : CheckEngine::NestedDfs;
-    // Lasso as state-graph node paths, shared by the sequential nested DFS
-    // and multicore CNDFS so the verdict tail is one.
-    std::optional<std::pair<std::vector<std::size_t>, std::vector<std::size_t>>> lasso;
-    if (options.explore_threads > 1) {
-      result.stats.threads_used = options.explore_threads;
-      detail::CndfsResult r = detail::cndfs(sg, cache.labels, fair_marks, fair.mark_count,
-                                            neg, req, budget, options.explore_threads);
-      result.stats.worker_states = std::move(r.worker_states);
-      result.product_states = result.stats.product_states = r.product_states;
-      result.stats.search_seconds = elapsed(t_search);
-      if (!is_complete(r.outcome)) {
-        emit_product_note();
-        give_up(r.outcome, "the nested-DFS product search");
-        return result;
-      }
-      lasso = std::move(r.lasso);
-    } else {
-      OnTheFlyEngine engine(sg, cache.labels, fair_marks, fair.mark_count, neg,
-                            std::move(req), budget);
-      try {
-        if (auto cells = engine.run()) {
-          lasso.emplace();
-          for (auto cell : cells->first) lasso->first.push_back(engine.node_of_cell(cell));
-          for (auto cell : cells->second) lasso->second.push_back(engine.node_of_cell(cell));
-        }
-      } catch (const BudgetExhausted& e) {
-        result.product_states = result.stats.product_states = engine.product_states();
-        result.stats.search_seconds = elapsed(t_search);
-        emit_product_note();
-        give_up(e.outcome(), "the nested-DFS product search");
-        return result;
-      }
-      result.product_states = result.stats.product_states = engine.product_states();
-      result.stats.search_seconds = elapsed(t_search);
-    }
-    emit_product_note();
-    if (!lasso) {
-      result.holds = true;
-      return result;
-    }
-    result.holds = false;
-    if (diagnostics) {
-      auto& d = diagnostics->emit("MPH-V003", subject,
-                                  "a fair computation violates the specification");
-      d.witness =
-          "fair lasso through " + std::to_string(lasso->second.size()) + " product state(s)";
-    }
-    Counterexample cex;
-    for (std::size_t n : lasso->first) cex.prefix.push_back(sg.nodes[n].valuation);
-    for (std::size_t n : lasso->second) cex.loop.push_back(sg.nodes[n].valuation);
-    result.counterexample = std::move(cex);
-    return result;
-  }
-
-  // General Emerson–Lei acceptance (strong fairness, Streett/Rabin-shaped
-  // ¬spec): build the reachable product lazily and run the SCC good-loop
-  // engine. The automaton reads the label of the source node on each step.
-  result.stats.engine = dual ? CheckEngine::GuaranteeDual : CheckEngine::Scc;
-  FlatInterner<std::uint64_t, IntHash> pids;
-  auto intern = [&](std::size_t n, omega::State q) {
-    auto [idx, inserted] = pids.intern(pack(n, q));
-    if (inserted) budget.require(pids.size() - 1);
-    return static_cast<omega::State>(idx);
-  };
-  MarkedGraph g;
+  ProductSearch search(sg, cache.labels, fair_marks, fair.mark_count, neg, acc, budget);
+  std::optional<PidLasso> lasso;
   try {
-    for (omega::State q0 : neg.initial) intern(0, q0);
+    lasso = search.run();
   } catch (const BudgetExhausted& e) {
-    result.product_states = result.stats.product_states = pids.size();
-    result.stats.search_seconds = elapsed(t_search);
-    give_up(e.outcome(), "the SCC product construction");
-    return result;
-  }
-  if (pids.size() == 0) {
-    // The ¬spec automaton has no initial states (the NBA tableau of an
-    // unsatisfiable negation), so the product has no runs: the spec holds
-    // over every fair computation.
+    result.product_states = result.stats.product_states = search.product_states();
     result.stats.search_seconds = elapsed(t_search);
     emit_product_note();
-    result.holds = true;
+    give_up(e.outcome(), "the on-the-fly SCC product search");
     return result;
   }
-  g.initial = 0;
-  try {
-    for (omega::State p = 0; p < pids.size(); ++p) {
-      if ((p & 0x3FFu) == 0) {
-        if (Outcome o = budget.poll(); !is_complete(o)) throw BudgetExhausted(o);
-      }
-      const std::uint64_t key = pids[p];
-      const std::size_t n = node_of(key);
-      const omega::State q = aut_of(key);
-      std::vector<omega::State> succ;
-      for (omega::State q2 : neg.step(q, cache.labels[n]))
-        for (auto [target, t] : sg.edges[n]) {
-          (void)t;
-          succ.push_back(intern(target, q2));
-        }
-      g.succ.push_back(std::move(succ));
-      g.marks.push_back(fair_marks[n] | (neg.marks(q) << fair.mark_count));
-    }
-  } catch (const BudgetExhausted& e) {
-    result.product_states = result.stats.product_states = pids.size();
-    result.stats.search_seconds = elapsed(t_search);
-    give_up(e.outcome(), "the SCC product construction");
-    return result;
-  }
-  // Multiple NBA initial states: add a virtual root so the good-loop search
-  // sees all of them as reachable.
-  if (neg.initial.size() > 1) {
-    const omega::State root = static_cast<omega::State>(g.succ.size());
-    g.succ.emplace_back();
-    g.marks.push_back(0);
-    for (std::size_t i = 0; i < neg.initial.size(); ++i)
-      g.succ[root].push_back(static_cast<omega::State>(i));
-    g.initial = root;
-  }
-
-  result.product_states = result.stats.product_states = pids.size();
-  auto loop = omega::find_good_loop(g, acc);
+  result.product_states = result.stats.product_states = search.product_states();
   result.stats.search_seconds = elapsed(t_search);
   emit_product_note();
-  if (!loop) {
+  if (!lasso) {
     result.holds = true;
     return result;
   }
@@ -830,90 +850,15 @@ CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair,
   if (diagnostics) {
     auto& d = diagnostics->emit("MPH-V003", subject,
                                 "a fair computation violates the specification");
-    d.witness = "fair loop through " + std::to_string(loop->size()) + " product state(s)";
+    d.witness =
+        "fair lasso through " + std::to_string(lasso->loop.size()) + " product state(s)";
   }
-  // Counterexample: shortest path from some initial product node to the
-  // loop, then a cycle covering it.
-  std::vector<bool> in_loop(g.size(), false);
-  for (omega::State q : *loop) in_loop[q] = true;
-  std::vector<std::int64_t> parent(g.size(), -2);
-  std::deque<omega::State> queue;
-  for (std::size_t i = 0; i < neg.initial.size(); ++i) {
-    parent[i] = -1;
-    queue.push_back(static_cast<omega::State>(i));
-  }
-  omega::State anchor = static_cast<omega::State>(~0u);
-  for (std::size_t i = 0; i < neg.initial.size() && anchor == static_cast<omega::State>(~0u);
-       ++i)
-    if (in_loop[i]) anchor = static_cast<omega::State>(i);
-  while (!queue.empty() && anchor == static_cast<omega::State>(~0u)) {
-    omega::State u = queue.front();
-    queue.pop_front();
-    for (omega::State v : g.succ[u]) {
-      if (parent[v] != -2) continue;
-      parent[v] = static_cast<std::int64_t>(u);
-      if (in_loop[v]) {
-        anchor = v;
-        break;
-      }
-      queue.push_back(v);
-    }
-  }
-  MPH_ASSERT(anchor != static_cast<omega::State>(~0u));
+  auto valuation_of = [&](std::uint32_t p) -> const Valuation& {
+    return sg.nodes[search.node_of_pid(p)].valuation;
+  };
   Counterexample cex;
-  auto valuation_of = [&](omega::State p) -> const Valuation& {
-    return sg.nodes[node_of(pids[p])].valuation;
-  };
-  {
-    std::vector<omega::State> path;
-    for (omega::State cur = anchor;;) {
-      path.push_back(cur);
-      if (parent[cur] < 0) break;
-      cur = static_cast<omega::State>(parent[cur]);
-    }
-    for (auto it = path.rbegin(); it != path.rend(); ++it)
-      cex.prefix.push_back(valuation_of(*it));
-    cex.prefix.pop_back();  // the anchor starts the loop instead
-  }
-  // Cycle through all loop nodes by chaining shortest paths within the loop.
-  auto seg = [&](omega::State from, omega::State to) {
-    MPH_ASSERT(from != to);
-    std::vector<std::int64_t> par(g.size(), -2);
-    std::deque<omega::State> q2{from};
-    par[from] = -1;
-    while (!q2.empty()) {
-      omega::State u = q2.front();
-      q2.pop_front();
-      for (omega::State v : g.succ[u]) {
-        if (!in_loop[v] || par[v] != -2) continue;
-        par[v] = static_cast<std::int64_t>(u);
-        q2.push_back(v);
-      }
-    }
-    MPH_ASSERT(par[to] != -2);
-    std::vector<omega::State> rev;
-    for (omega::State c = static_cast<omega::State>(par[to]); par[c] >= 0;
-         c = static_cast<omega::State>(par[c]))
-      rev.push_back(c);
-    std::vector<omega::State> fwd{from};
-    fwd.insert(fwd.end(), rev.rbegin(), rev.rend());
-    return fwd;
-  };
-  std::vector<omega::State> cycle;
-  omega::State cur = anchor;
-  for (omega::State goal : *loop) {
-    if (goal == cur) continue;
-    auto piece = seg(cur, goal);
-    cycle.insert(cycle.end(), piece.begin(), piece.end());
-    cur = goal;
-  }
-  if (cur != anchor) {
-    auto piece = seg(cur, anchor);
-    cycle.insert(cycle.end(), piece.begin(), piece.end());
-  } else if (cycle.empty()) {
-    cycle.push_back(anchor);  // singleton loop with a self-edge
-  }
-  for (omega::State q : cycle) cex.loop.push_back(valuation_of(q));
+  for (std::uint32_t p : lasso->prefix) cex.prefix.push_back(valuation_of(p));
+  for (std::uint32_t p : lasso->loop) cex.loop.push_back(valuation_of(p));
   result.counterexample = std::move(cex);
   return result;
 }
@@ -948,8 +893,9 @@ std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::For
 
   // Exploration-free proofs first: any spec the static prover certifies is
   // done — stamped StaticProof/Complete with zero states — before a single
-  // node is expanded. force_scc demands the SCC engine, so the hook is
-  // skipped there (the fuzz oracles rely on force_scc meaning exactly that).
+  // node is expanded. force_scc pins the general ω-product route, so the
+  // hook is skipped there (the fuzz oracles rely on force_scc meaning exactly
+  // that).
   std::vector<char> resolved(specs.size(), 0);
   std::size_t n_resolved = 0;
   if (options.static_prover && !options.force_scc) {

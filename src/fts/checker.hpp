@@ -4,14 +4,14 @@
 // (hierarchy fragment), the fairness requirements become Streett-style
 // acceptance on the product, and the question is a good-loop search.
 //
-// The engine is on-the-fly: the product of the state graph with the ¬spec
-// automaton is interned lazily, atom labels are computed once per state-graph
-// node, and for generalized-Büchi-shaped acceptance (weak fairness plus a
-// guarantee/recurrence ¬spec or the NBA tableau) an interleaved nested-DFS
-// emptiness check reports a violating lasso before the full product exists.
-// General Emerson–Lei acceptance (strong fairness, Streett/Rabin ¬spec) uses
-// the SCC good-loop engine over the lazily built reachable product.
-// See docs/CHECKER.md.
+// One on-the-fly engine decides every ω-product: a Tarjan DFS over the
+// lazily interned (state-graph node × ¬spec state) product that keeps the
+// union of acceptance marks on Couvreur's root stack. Under generalized-Büchi
+// acceptance (weak fairness plus an Inf-shaped ¬spec or the NBA tableau) it
+// stops as soon as a partial SCC carries every required mark, so a violation
+// is reported before the full product exists; under acceptance mentioning
+// Fin (strong fairness, Streett/Rabin ¬spec) each closed SCC is handed to
+// omega::find_good_loop. See docs/CHECKER.md.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +34,8 @@ struct Counterexample {
   std::string to_string(const Fts& system) const;
 };
 
-/// Which emptiness machinery decided a check. The first two are the general
-/// ω-engines; the last two are the class-aware shortcuts taken when
+/// Which emptiness machinery decided a check. Scc is the general ω-product
+/// engine; the next two are the class-aware shortcuts taken when
 /// `CheckOptions::class_dispatch` is on (docs/VACUITY.md):
 ///   SafetyPrefix  — syntactically-safety spec, decided by plain BFS over the
 ///                   node × det(spec) product against the dead (residual-empty)
@@ -48,21 +48,22 @@ struct Counterexample {
 ///                   dual: det(¬spec) is a closed language, so its accepting
 ///                   runs are exactly those staying inside the live states;
 ///                   pruning the dead states turns the acceptance into ⊤ and
-///                   the product search back into a fairness-only lasso hunt
-///                   (nested-DFS) instead of the Fin-shaped SCC path.
-/// A fifth source of verdicts sits above all four:
+///                   the product search into a fairness-only lasso hunt
+///                   (the same SCC search with an early exit) instead of
+///                   waiting for closed SCCs under Fin-shaped acceptance.
+/// A fourth source of verdicts sits above all three:
 ///   StaticProof   — the spec was discharged by `CheckOptions::static_prover`
 ///                   (interval abstract interpretation, src/analysis/absint.*)
 ///                   without exploring a single state; stats report 0 nodes
 ///                   and 0 product states. Only "holds" verdicts arrive this
 ///                   way — a prover that cannot certify the spec returns
 ///                   nothing and the check falls through to the engines.
-enum class CheckEngine : std::uint8_t { NestedDfs, Scc, SafetyPrefix, GuaranteeDual, StaticProof };
+enum class CheckEngine : std::uint8_t { Scc, SafetyPrefix, GuaranteeDual, StaticProof };
 
 std::string_view to_string(CheckEngine e);
 
 /// Where the classification that picked the engine came from:
-///   None       — class dispatch off (or force_scc): the general engines run
+///   None       — class dispatch off (or force_scc): the general engine runs
 ///   Syntactic  — ltl::syntactic_classification on the spec as written
 ///   Normalized — the spec was ΔΓ-normalized (src/ltl/normalize.hpp) and the
 ///                classification/compilation used the hierarchy normal form;
@@ -81,18 +82,16 @@ struct CheckStats {
   std::size_t automaton_states = 0;   ///< states of the compiled ¬spec automaton
   std::size_t product_states = 0;     ///< distinct (node, automaton-state) pairs built
   std::size_t product_bound = 0;      ///< state_graph_nodes × automaton_states
-  bool on_the_fly = false;            ///< nested-DFS early-exit emptiness used
   bool nba_fallback = false;          ///< ¬spec outside the hierarchy fragment
-  CheckEngine engine = CheckEngine::NestedDfs;  ///< machinery that decided the verdict
+  CheckEngine engine = CheckEngine::Scc;  ///< machinery that decided the verdict
   ClassSource class_source = ClassSource::None;  ///< provenance of the routing class
   std::size_t normalize_steps = 0;  ///< rewrite steps spent by ΔΓ-normalization
   Outcome outcome = Outcome::Complete;  ///< how the check ended (docs/BUDGETS.md)
   /// Workers the emptiness search actually ran on (docs/PARALLEL.md): equals
-  /// CheckOptions::explore_threads when the verdict came from a multicore
-  /// engine (CNDFS / parallel prefix scan), 1 when the engine stayed
-  /// sequential (SCC, or explore_threads <= 1).
+  /// CheckOptions::explore_threads when the verdict came from the parallel
+  /// safety-prefix scan, 1 otherwise (ω-products are searched on one thread).
   unsigned threads_used = 1;
-  std::vector<std::size_t> worker_states;  ///< per-worker product states visited
+  std::vector<std::size_t> worker_states;  ///< per-worker product states expanded (scan only)
   std::vector<std::size_t> worker_steals;  ///< per-worker frontier steals (scan only)
   double explore_seconds = 0.0;       ///< state-graph exploration
   double label_seconds = 0.0;         ///< atom labelling of the state graph
@@ -145,20 +144,18 @@ struct CheckOptions {
   /// run fully sequential and deterministic; with more threads, results and
   /// merged diagnostics still come back in spec order.
   unsigned threads = 1;
-  /// Worker threads *inside* one emptiness search (docs/PARALLEL.md),
+  /// Worker threads for one check's exploration (docs/PARALLEL.md),
   /// orthogonal to the per-spec `threads` above. With explore_threads > 1
-  /// the state-graph exploration fans out over a work-stealing frontier,
-  /// safety-prefix scans run the parallel reachability scan, and
-  /// generalized-Büchi products run CNDFS multicore nested DFS; the SCC
-  /// engine stays sequential. Verdicts, counterexample validity, and
+  /// the state-graph exploration fans out over a work-stealing frontier and
+  /// safety-prefix scans run the parallel reachability scan; ω-products are
+  /// still searched on one thread. Verdicts, counterexample validity, and
   /// budget-exhausted diagnostics are independent of this setting (a
-  /// violating run under a biting state cap may report a different — equally
-  /// valid — witness).
+  /// violating scan under a biting state cap may report a different —
+  /// equally valid — witness).
   unsigned explore_threads = 1;
-  /// Skip the on-the-fly nested-DFS even when the acceptance is
-  /// generalized-Büchi-shaped and use the SCC good-loop engine instead.
-  /// Both engines must agree on every input; differential fuzzing
-  /// (src/fuzz, oracle `fts-engines`) relies on this switch.
+  /// Skip class dispatch and the static prover: every spec goes through
+  /// the general ω-product search. Serve keys its verdict cache on it, and
+  /// the fuzz oracles and `perfbench --reanchor` use it to pin that route.
   bool force_scc = false;
   /// Class-aware engine dispatch: route syntactically-safety specs to the
   /// closed-prefix reachability check and syntactically-guarantee specs
@@ -175,7 +172,7 @@ struct CheckOptions {
   /// 0 disables normalization in the checker.
   std::size_t normalize_steps = 512;
   /// Exploration-free proof hook, consulted per spec *before* the shared
-  /// exploration (skipped under `force_scc`, which demands the SCC engine).
+  /// exploration (skipped under `force_scc`).
   /// Returning a result means "this spec is proved to hold" — the checker
   /// stamps it `CheckEngine::StaticProof` / Outcome::Complete with zero
   /// exploration and, when every spec in the batch resolves statically,

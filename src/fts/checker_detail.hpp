@@ -1,28 +1,13 @@
-// Internals shared between the sequential checker (checker.cpp) and the
-// multicore emptiness engines (parallel.cpp). Not part of the public API.
+// Product-key helpers shared between the sequential checker (checker.cpp)
+// and the parallel safety-prefix scan (parallel.cpp). Not part of the public
+// API.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
-#include "src/lang/alphabet.hpp"
-#include "src/omega/acceptance.hpp"
 #include "src/omega/det_omega.hpp"
 
 namespace mph::fts::detail {
-
-/// A uniform view over the two automaton back-ends for ¬spec: the
-/// deterministic hierarchy-fragment compiler and the NBA tableau. The step
-/// and marks closures capture their automaton by shared_ptr and only call
-/// const members, so one view may be read from many workers concurrently.
-struct NegSpecView {
-  std::vector<omega::State> initial;
-  std::function<std::vector<omega::State>(omega::State, lang::Symbol)> step;
-  std::function<omega::MarkSet(omega::State)> marks;
-  omega::Acceptance acceptance = omega::Acceptance::t();
-  std::size_t state_count = 0;
-};
 
 /// 64-bit product keys: state-graph node in the high half, automaton state
 /// in the low half.

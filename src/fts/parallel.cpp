@@ -4,7 +4,6 @@
 #include <atomic>
 #include <exception>
 #include <mutex>
-#include <random>
 #include <thread>
 
 #include "src/support/check.hpp"
@@ -14,9 +13,6 @@
 
 namespace mph::fts::detail {
 namespace {
-
-using omega::Mark;
-using omega::MarkSet;
 
 constexpr std::int64_t kNoParent = -1;
 
@@ -141,322 +137,6 @@ ParallelScanResult parallel_safety_scan(const StateGraph& sg,
   res.product_states =
       res.outcome == Outcome::BudgetStates ? std::min(size, cap + 1) : size;
   return res;
-}
-
-// ------------------------------------------------------------------------
-// CNDFS: every worker runs a complete nested DFS with its own randomized
-// successor order; blue ("fully explored, no accepting cycle seen from
-// here") and red ("provably on no accepting cycle") are shared through an
-// atomic color map, while cyan (on *this* worker's blue stack) and pink (in
-// this worker's current red search) stay thread-local. The await before
-// promoting a red set — spin until every other accepting state in R_w is
-// red — is what makes sharing red sound (Evangelista et al., ATVA 2012);
-// a mutually-awaiting pair of workers would imply an accepting cycle that
-// one of their red searches has already reported.
-
-namespace {
-
-struct Cell {
-  std::uint32_t pid = 0;
-  std::uint32_t c = 0;
-  bool operator==(const Cell&) const = default;
-};
-
-class CndfsEngine {
- public:
-  CndfsEngine(const StateGraph& sg, const std::vector<lang::Symbol>& labels,
-              const std::vector<MarkSet>& fair_marks, Mark shift, const NegSpecView& neg,
-              const std::vector<Mark>& req, const Budget& budget, unsigned threads)
-      : sg_(sg),
-        labels_(labels),
-        fair_marks_(fair_marks),
-        shift_(shift),
-        neg_(neg),
-        req_(req),
-        k_(std::max<std::size_t>(req.size(), 1)),
-        budget_(budget),
-        threads_(threads),
-        cap_(budget.state_cap()) {}
-
-  CndfsResult run() {
-    CndfsResult res;
-    res.worker_states.assign(threads_, 0);
-    {
-      std::vector<std::jthread> pool;
-      pool.reserve(threads_);
-      for (unsigned w = 0; w < threads_; ++w)
-        pool.emplace_back([this, w, &res] { run_worker(w, res); });
-    }
-    if (error_) std::rethrow_exception(error_);
-    const std::size_t size = pids_.size();
-    if (found_) {
-      // A violating lasso is authoritative even if another worker exhausted
-      // its budget concurrently.
-      res.outcome = Outcome::Complete;
-      res.product_states = size;
-      std::pair<std::vector<std::size_t>, std::vector<std::size_t>> lasso;
-      for (const Cell& cell : lasso_.prefix) lasso.first.push_back(node_of_cell(cell));
-      for (const Cell& cell : lasso_.loop) lasso.second.push_back(node_of_cell(cell));
-      res.lasso = std::move(lasso);
-      return res;
-    }
-    res.outcome = outcome_;
-    res.product_states =
-        res.outcome == Outcome::BudgetStates ? std::min(size, cap_ + 1) : size;
-    return res;
-  }
-
- private:
-  static constexpr std::uint8_t kBlue = 1, kRed = 2;   // shared colors
-  static constexpr std::uint8_t kCyan = 1, kPink = 2;  // worker-local colors
-
-  struct Frame {
-    std::uint32_t pid = 0;
-    std::uint32_t c = 0;
-    std::vector<std::uint32_t> succ;
-    std::size_t i = 0;
-  };
-
-  struct Found {
-    std::vector<Cell> prefix, loop;
-  };
-  struct Stopped {};
-
-  struct Worker {
-    unsigned id = 0;
-    std::minstd_rand rng;
-    std::vector<std::uint8_t> local;  // per cell: kCyan | kPink
-    std::vector<Cell> red_set;        // R_w of the current red phase
-    std::uint64_t steps = 0;
-    std::size_t visited = 0;
-  };
-
-  void run_worker(unsigned wi, CndfsResult& res) {
-    Worker w;
-    w.id = wi;
-    w.rng.seed(wi * 0x9e3779b9u + 1);
-    try {
-      for (omega::State q0 : neg_.initial) blue_dfs(w, Cell{intern(0, q0), 0});
-    } catch (const Found& f) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!found_) {
-        found_ = true;
-        lasso_ = f;
-      }
-      quit_.store(true, std::memory_order_release);
-    } catch (const BudgetExhausted& e) {
-      std::lock_guard<std::mutex> lock(mu_);
-      outcome_ = worst(outcome_, e.outcome());
-      quit_.store(true, std::memory_order_release);
-    } catch (const Stopped&) {
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!error_) error_ = std::current_exception();
-      quit_.store(true, std::memory_order_release);
-    }
-    res.worker_states[wi] = w.visited;
-  }
-
-  std::uint32_t intern(std::size_t n, omega::State q) {
-    const std::uint64_t key = pack(n, q);
-    auto [gid, fresh] = pids_.intern(key, [&](std::uint32_t g) {
-      keys_.at(g).store(key, std::memory_order_relaxed);
-      marks_.at(g).store(fair_marks_[n] | (neg_.marks(q) << shift_),
-                         std::memory_order_relaxed);
-    });
-    if (fresh && gid >= cap_) throw BudgetExhausted(Outcome::BudgetStates);
-    return gid;
-  }
-
-  std::size_t node_of_cell(const Cell& cell) {
-    return node_of(keys_.at(cell.pid).load(std::memory_order_relaxed));
-  }
-
-  std::vector<std::uint32_t> successors(Worker& w, std::uint32_t pid) {
-    const std::uint64_t key = keys_.at(pid).load(std::memory_order_relaxed);
-    const std::size_t n = node_of(key);
-    std::vector<std::uint32_t> out;
-    for (omega::State q2 : neg_.step(aut_of(key), labels_[n]))
-      for (auto [target, t] : sg_.edges[n]) {
-        (void)t;
-        out.push_back(intern(target, q2));
-      }
-    // Worker 0 keeps the deterministic order (and the sequential engine's
-    // search shape); the others diverge so they explore disjoint regions.
-    if (w.id != 0 && out.size() > 1) std::shuffle(out.begin(), out.end(), w.rng);
-    return out;
-  }
-
-  bool has_required_mark(std::uint32_t pid, std::size_t i) {
-    return req_.empty() ||
-           (marks_.at(pid).load(std::memory_order_relaxed) & omega::mark_bit(req_[i]));
-  }
-  std::uint32_t advance(std::uint32_t pid, std::uint32_t c) {
-    return has_required_mark(pid, c) ? static_cast<std::uint32_t>((c + 1) % k_) : c;
-  }
-  bool accepting(const Cell& cell) {
-    return cell.c == k_ - 1 && has_required_mark(cell.pid, k_ - 1);
-  }
-
-  std::size_t cell_index(const Cell& cell) const {
-    return std::size_t{cell.pid} * k_ + cell.c;
-  }
-  std::atomic<std::uint8_t>& sflags(const Cell& cell) { return sflags_.at(cell_index(cell)); }
-  std::uint8_t& local(Worker& w, const Cell& cell) {
-    const std::size_t i = cell_index(cell);
-    if (i >= w.local.size()) w.local.resize(std::max(i + 1, w.local.size() * 2), 0);
-    return w.local[i];
-  }
-
-  /// Deadline/cancellation poll plus the engine-wide stop flag (set on a
-  /// found lasso or another worker's exhaustion).
-  void poll(Worker& w) {
-    if (quit_.load(std::memory_order_relaxed)) throw Stopped{};
-    if ((++w.steps & 0xFFFu) != 0) return;
-    if (Outcome o = budget_.poll(); !is_complete(o)) throw BudgetExhausted(o);
-  }
-
-  void blue_dfs(Worker& w, Cell root) {
-    if (sflags(root).load(std::memory_order_acquire) & kBlue) return;
-    std::vector<Frame> frames;
-    local(w, root) |= kCyan;
-    w.visited++;
-    frames.push_back({root.pid, root.c, successors(w, root.pid), 0});
-    while (!frames.empty()) {
-      poll(w);
-      Frame& f = frames.back();
-      const Cell cur{f.pid, f.c};
-      if (f.i < f.succ.size()) {
-        const Cell next{f.succ[f.i++], advance(f.pid, f.c)};
-        const std::uint8_t lf = local(w, next);
-        if ((lf & kCyan) && (accepting(cur) || accepting(next)))
-          throw found_in_blue(frames, next);  // cycle within our own stack
-        if (!(lf & kCyan) && !(sflags(next).load(std::memory_order_acquire) & kBlue)) {
-          local(w, next) |= kCyan;
-          w.visited++;
-          frames.push_back({next.pid, next.c, successors(w, next.pid), 0});
-        }
-        continue;
-      }
-      frames.pop_back();  // postorder; `frames` now holds cur's ancestors
-      if (accepting(cur) && !(sflags(cur).load(std::memory_order_acquire) & kRed)) {
-        w.red_set.clear();
-        red_dfs(w, cur, frames);
-        // The await: R_w may contain accepting states some other worker is
-        // still red-searching; promoting them early would let a third worker
-        // prune a live cycle. cur stays cyan throughout, so a would-be
-        // mutual wait is a cycle the red search above has already reported.
-        for (const Cell& t : w.red_set)
-          if (!(t == cur) && accepting(t))
-            while (!(sflags(t).load(std::memory_order_acquire) & kRed)) {
-              poll(w);
-              std::this_thread::yield();
-            }
-        for (const Cell& t : w.red_set) {
-          sflags(t).fetch_or(kRed, std::memory_order_acq_rel);
-          local(w, t) &= static_cast<std::uint8_t>(~kPink);
-        }
-      }
-      sflags(cur).fetch_or(kBlue, std::memory_order_acq_rel);
-      local(w, cur) &= static_cast<std::uint8_t>(~kCyan);
-    }
-  }
-
-  void red_dfs(Worker& w, Cell seed, const std::vector<Frame>& blue_frames) {
-    local(w, seed) |= kPink;
-    w.red_set.push_back(seed);
-    std::vector<Frame> frames{{seed.pid, seed.c, successors(w, seed.pid), 0}};
-    while (!frames.empty()) {
-      poll(w);
-      Frame& f = frames.back();
-      if (f.i == f.succ.size()) {
-        frames.pop_back();
-        continue;
-      }
-      const Cell next{f.succ[f.i++], advance(f.pid, f.c)};
-      if (local(w, next) & kCyan)
-        throw found_in_red(blue_frames, seed, frames, next);
-      if (!(local(w, next) & kPink) &&
-          !(sflags(next).load(std::memory_order_acquire) & kRed)) {
-        local(w, next) |= kPink;
-        w.red_set.push_back(next);
-        frames.push_back({next.pid, next.c, successors(w, next.pid), 0});
-      }
-    }
-  }
-
-  /// Blue-search early detection: `next` is on our own stack, so the stack
-  /// segment from `next` to the top plus the edge back to `next` is a cycle
-  /// (with an accepting cell on it, per the caller's guard).
-  Found found_in_blue(const std::vector<Frame>& frames, const Cell& next) {
-    Found f;
-    std::size_t j = frames.size();
-    for (std::size_t i = 0; i < frames.size(); ++i)
-      if (Cell{frames[i].pid, frames[i].c} == next) {
-        j = i;
-        break;
-      }
-    MPH_ASSERT(j < frames.size());  // next is cyan, hence on this stack
-    for (std::size_t i = 0; i < j; ++i) f.prefix.push_back({frames[i].pid, frames[i].c});
-    for (std::size_t i = j; i < frames.size(); ++i)
-      f.loop.push_back({frames[i].pid, frames[i].c});
-    return f;
-  }
-
-  /// Red-search detection, mirroring the sequential engine's assemble():
-  /// prefix = blue ancestors of the seed; loop = seed →red path→ u →blue
-  /// stack→ last ancestor (whose successor closes the loop at the seed).
-  Found found_in_red(const std::vector<Frame>& blue_frames, const Cell& seed,
-                     const std::vector<Frame>& red_frames, const Cell& u) {
-    Found f;
-    for (const Frame& fr : blue_frames) f.prefix.push_back({fr.pid, fr.c});
-    for (const Frame& fr : red_frames) f.loop.push_back({fr.pid, fr.c});  // seed..pred(u)
-    if (!(u == seed)) {
-      std::size_t j = blue_frames.size();
-      for (std::size_t i = 0; i < blue_frames.size(); ++i)
-        if (Cell{blue_frames[i].pid, blue_frames[i].c} == u) {
-          j = i;
-          break;
-        }
-      MPH_ASSERT(j < blue_frames.size());  // u is cyan: an ancestor or the seed
-      f.loop.push_back(u);
-      for (std::size_t i = j + 1; i < blue_frames.size(); ++i)
-        f.loop.push_back({blue_frames[i].pid, blue_frames[i].c});
-    }
-    MPH_ASSERT(!f.loop.empty());
-    return f;
-  }
-
-  const StateGraph& sg_;
-  const std::vector<lang::Symbol>& labels_;
-  const std::vector<MarkSet>& fair_marks_;
-  const Mark shift_;
-  const NegSpecView& neg_;
-  const std::vector<Mark>& req_;
-  const std::size_t k_;
-  const Budget& budget_;
-  const unsigned threads_;
-  const std::size_t cap_;
-
-  ConcurrentInterner<std::uint64_t, IntHash> pids_;
-  ChunkedAtomicArray<std::uint64_t> keys_;       // pid -> packed (node, q)
-  ChunkedAtomicArray<MarkSet> marks_;            // pid -> product marks
-  ChunkedAtomicArray<std::uint8_t> sflags_;      // cell -> kBlue | kRed
-  std::atomic<bool> quit_{false};
-  std::mutex mu_;
-  bool found_ = false;
-  Found lasso_;
-  Outcome outcome_ = Outcome::Complete;
-  std::exception_ptr error_;
-};
-
-}  // namespace
-
-CndfsResult cndfs(const StateGraph& sg, const std::vector<lang::Symbol>& labels,
-                  const std::vector<MarkSet>& fair_marks, Mark shift, const NegSpecView& neg,
-                  const std::vector<Mark>& req, const Budget& budget, unsigned threads) {
-  CndfsEngine engine(sg, labels, fair_marks, shift, neg, req, budget, threads);
-  return engine.run();
 }
 
 }  // namespace mph::fts::detail

@@ -1,17 +1,17 @@
-// Multicore emptiness engines (docs/PARALLEL.md): the CNDFS nested DFS for
-// generalized-Büchi products and the work-stealing closed-prefix scan behind
-// the SafetyPrefix engine. Internal to the checker — `CheckOptions::
-// explore_threads > 1` routes into these from checker.cpp; results come back
-// as state-graph node paths so product ids never escape.
+// The multicore closed-prefix scan behind the SafetyPrefix engine
+// (docs/PARALLEL.md). Internal to the checker — `CheckOptions::
+// explore_threads > 1` routes class-dispatched safety specs into it from
+// checker.cpp; the result comes back as a state-graph node path so product
+// ids never escape.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "src/fts/checker_detail.hpp"
 #include "src/fts/fts.hpp"
+#include "src/lang/alphabet.hpp"
 #include "src/support/budget.hpp"
 
 namespace mph::fts::detail {
@@ -38,26 +38,5 @@ ParallelScanResult parallel_safety_scan(const StateGraph& sg,
                                         const omega::DetOmega& m,
                                         const std::vector<bool>& live, const Budget& budget,
                                         unsigned threads);
-
-/// Result of the multicore nested DFS.
-struct CndfsResult {
-  Outcome outcome = Outcome::Complete;
-  std::size_t product_states = 0;
-  /// An accepting product lasso as state-graph node paths (prefix, loop);
-  /// nullopt when the product is empty (or the budget ran out — `outcome`).
-  std::optional<std::pair<std::vector<std::size_t>, std::vector<std::size_t>>> lasso;
-  std::vector<std::size_t> worker_states;  ///< blue-visited cells per worker
-};
-
-/// CNDFS (Evangelista–Laarman–Petrucci–van de Pol) over the on-the-fly
-/// generalized-Büchi product: every worker runs a full nested DFS with a
-/// randomized successor order, sharing blue/red colors through an atomic
-/// color map while cyan (the worker's own DFS stack) stays thread-local.
-/// Arguments mirror the sequential OnTheFlyEngine; `req` is the sorted,
-/// deduplicated set of required Inf marks for counter degeneralization.
-CndfsResult cndfs(const StateGraph& sg, const std::vector<lang::Symbol>& labels,
-                  const std::vector<omega::MarkSet>& fair_marks, omega::Mark shift,
-                  const NegSpecView& neg, const std::vector<omega::Mark>& req,
-                  const Budget& budget, unsigned threads);
 
 }  // namespace mph::fts::detail

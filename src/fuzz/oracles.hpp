@@ -1,9 +1,9 @@
 // The oracle registry: each oracle pairs a generator of random inputs with
 // a differential cross-check of two or more independent implementations
 // (operator laws vs enumerated lassos, classify() vs form extraction, the
-// LTL lasso evaluator vs compiled automata, the checker's nested-DFS vs SCC
-// engines, parser round-trips). A check never decides truth on its own —
-// it only compares answers that must agree.
+// LTL lasso evaluator vs compiled automata, the checker vs a materialized
+// product decided offline, parser round-trips). A check never decides truth
+// on its own — it only compares answers that must agree.
 #pragma once
 
 #include <functional>

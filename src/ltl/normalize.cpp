@@ -991,7 +991,16 @@ std::optional<ExactClass> exact_classification(const Formula& f,
   lang::Alphabet alphabet = lang::Alphabet::of_props(names);
   std::optional<omega::DetOmega> m = compile_hierarchy_form(r.form, alphabet);
   if (!m) return std::nullopt;
-  return ExactClass{core::classify(*m), r.form};
+  try {
+    return ExactClass{core::classify(*m), r.form};
+  } catch (const std::invalid_argument&) {
+    // Landweber's recurrence test expands the (negated) acceptance into
+    // DNF, and Acceptance::dnf refuses past its clause cap: a normal form
+    // whose product acceptance carries many Fin/Inf alternatives (e.g.
+    // G F(q W (false W p))) has no exact class here rather than a thrown
+    // error.
+    return std::nullopt;
+  }
 }
 
 }  // namespace mph::ltl

@@ -99,9 +99,10 @@ struct ExactClass {
 /// refuses (no hierarchy normal form found), a second, Safra-free path
 /// tries the formula/negation tableau NBAs through core::classify_nba
 /// (docs/COMPLEMENT.md) — it recovers safety/guarantee/clopen formulas the
-/// normalizer's envelope misses. nullopt when both paths refuse or the
-/// formula spans more than 2^max_atoms alphabet symbols — never a
-/// misreported class.
+/// normalizer's envelope misses. nullopt when both paths refuse, the
+/// formula spans more than 2^max_atoms alphabet symbols, or the normal
+/// form's acceptance is too large for the recurrence test's DNF expansion
+/// (Acceptance::dnf's clause cap) — never a misreported class.
 std::optional<ExactClass> exact_classification(const Formula& f,
                                                const NormalizeOptions& options = {});
 

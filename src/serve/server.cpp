@@ -779,7 +779,6 @@ Json Server::handle_vacuity(const Json& request) {
                                  static_cast<std::uint64_t>(st.safety_prefix))
                           .field("guarantee_dual",
                                  static_cast<std::uint64_t>(st.guarantee_dual))
-                          .field("nested_dfs", static_cast<std::uint64_t>(st.nested_dfs))
                           .field("scc", static_cast<std::uint64_t>(st.scc))
                           .field("constant", static_cast<std::uint64_t>(st.constant))
                           .field("unknown", static_cast<std::uint64_t>(st.unknown))

@@ -1,7 +1,7 @@
-// Concurrent interning for the shared-state parallel engines
+// Concurrent interning for the parallel exploration and safety scan
 // (docs/PARALLEL.md): a sharded FlatInterner behind per-shard locks, plus a
 // chunked array of atomics used for id-indexed side tables (product keys,
-// CNDFS colors) that grow while other threads read them.
+// BFS parents) that grow while other threads read them.
 #pragma once
 
 #include <array>

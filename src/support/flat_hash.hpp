@@ -84,18 +84,22 @@ class FlatInterner {
     return {idx, true};
   }
 
-  /// Index of key if present.
-  bool contains(const Key& key) const {
+  static constexpr std::size_t npos = ~std::size_t{0};
+
+  /// Index of key, or npos when it was never interned.
+  std::size_t find(const Key& key) const {
     const std::uint64_t h = hash_(key);
     const std::size_t mask = slots_.size() - 1;
     std::size_t i = static_cast<std::size_t>(h) & mask;
     while (slots_[i] != kEmpty) {
       const std::uint32_t idx = slots_[i];
-      if (hashes_[idx] == h && keys_[idx] == key) return true;
+      if (hashes_[idx] == h && keys_[idx] == key) return idx;
       i = (i + 1) & mask;
     }
-    return false;
+    return npos;
   }
+
+  bool contains(const Key& key) const { return find(key) != npos; }
 
   std::size_t size() const { return keys_.size(); }
   const Key& operator[](std::size_t i) const { return keys_[i]; }

@@ -1,7 +1,7 @@
-// The on-the-fly engine internals, observed through CheckStats and the batch
-// API: engine selection (nested DFS vs SCC), early exit strictly below the
-// full product bound, NBA-fallback traces that replay, and check_all
-// agreement with sequential check — sequentially and on a worker pool.
+// The on-the-fly SCC engine, observed through CheckStats and the batch API:
+// one engine for every acceptance shape, early exit strictly below the full
+// product bound, NBA-fallback traces that replay, and check_all agreement
+// with sequential check — sequentially and on a worker pool.
 #include <gtest/gtest.h>
 
 #include "src/fts/checker.hpp"
@@ -52,13 +52,17 @@ TEST(CheckStats, BasicFieldsAreConsistent) {
 
 TEST(EngineSelection, BuchiShapedGoesOnTheFly) {
   Program prog = programs::peterson();
-  // ¬(safety) is a guarantee (Inf acceptance) -> nested DFS.
+  // ¬(safety) is a guarantee (Inf acceptance) and ¬(response) a persistence
+  // (Fin acceptance): both go through the one on-the-fly SCC search, and a
+  // holding spec interns the whole reachable product either way.
   auto safety = check(prog.system, parse_formula("G !(c1 & c2)"), prog.atoms);
-  EXPECT_TRUE(safety.stats.on_the_fly);
-  // ¬(response) is persistence (Fin acceptance) -> SCC good-loop engine.
+  EXPECT_EQ(safety.stats.engine, CheckEngine::Scc);
+  EXPECT_TRUE(safety.holds);
   auto response = check(prog.system, parse_formula("G(t1 -> F c1)"), prog.atoms);
-  EXPECT_FALSE(response.stats.on_the_fly);
+  EXPECT_EQ(response.stats.engine, CheckEngine::Scc);
   EXPECT_TRUE(response.holds);
+  EXPECT_GT(response.stats.product_states, 0u);
+  EXPECT_LE(response.stats.product_states, response.stats.product_bound);
 }
 
 TEST(EngineSelection, NormalizationRoutesNonSyntacticShapesToShortcuts) {
@@ -92,27 +96,27 @@ TEST(EngineSelection, NormalizationRoutesNonSyntacticShapesToShortcuts) {
 }
 
 TEST(EarlyExit, ViolationStopsStrictlyBelowTheProductBound) {
-  // Seeded violation: the naive dining protocol deadlocks. The nested DFS
+  // Seeded violation: the naive dining protocol deadlocks. The SCC search
   // must report it without interning the whole state-graph × automaton
   // product.
   Program prog = programs::dining_philosophers(3);
   auto spec = parse_formula("G !deadlock");
   auto result = check(prog.system, spec, prog.atoms);
   ASSERT_FALSE(result.holds);
-  EXPECT_TRUE(result.stats.on_the_fly);
+  EXPECT_EQ(result.stats.engine, CheckEngine::Scc);
   EXPECT_LT(result.stats.product_states, result.stats.product_bound);
   EXPECT_TRUE(replay_violates(prog, spec, result));
 }
 
 TEST(EarlyExit, NbaFallbackViolationReplays) {
-  // Outside the hierarchy fragment: the tableau NBA drives the same nested
-  // DFS and its counterexample must still be genuine.
+  // Outside the hierarchy fragment: the tableau NBA drives the same SCC
+  // search and its counterexample must still be genuine.
   Program prog = programs::dining_philosophers(2);
   auto spec = parse_formula("(F eat1) U deadlock");
   auto result = check(prog.system, spec, prog.atoms);
   ASSERT_FALSE(result.holds);
   EXPECT_TRUE(result.stats.nba_fallback);
-  EXPECT_TRUE(result.stats.on_the_fly);
+  EXPECT_EQ(result.stats.engine, CheckEngine::Scc);
   EXPECT_LT(result.stats.product_states, result.stats.product_bound);
   EXPECT_TRUE(replay_violates(prog, spec, result));
 }
@@ -146,7 +150,7 @@ TEST(CheckAll, AgreesWithSequentialCheck) {
     EXPECT_EQ(batch[i].holds, single.holds) << specs[i].to_string();
     EXPECT_EQ(batch[i].stats.product_states, single.stats.product_states)
         << specs[i].to_string();
-    EXPECT_EQ(batch[i].stats.on_the_fly, single.stats.on_the_fly) << specs[i].to_string();
+    EXPECT_EQ(batch[i].stats.engine, single.stats.engine) << specs[i].to_string();
     EXPECT_EQ(batch[i].counterexample.has_value(), single.counterexample.has_value());
     if (!batch[i].holds) {
       EXPECT_TRUE(replay_violates(prog, specs[i], batch[i]));

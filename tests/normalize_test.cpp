@@ -191,6 +191,17 @@ TEST(NormalizeBudget, OutOfEnvelopeIsRefusedNotMisreported) {
   }
 }
 
+TEST(NormalizeBudget, OversizedAcceptanceDnfIsRefusedNotThrown) {
+  // The normal form compiles to a 7-state automaton whose 27-mark
+  // acceptance negates past Acceptance::dnf's clause cap inside Landweber's
+  // recurrence test: an explicit refusal, not an exception.
+  ltl::Formula f = ltl::parse_formula("G F(q W (false W p))");
+  ASSERT_TRUE(ltl::normalize(f).normal);
+  std::optional<ltl::ExactClass> exact;
+  EXPECT_NO_THROW(exact = ltl::exact_classification(f));
+  EXPECT_FALSE(exact.has_value());
+}
+
 TEST(NormalizeBasics, PastFormulasAreAlreadyKernels) {
   ltl::Formula f = ltl::parse_formula("q & O(p & Y q)");
   auto r = ltl::normalize(f);

@@ -234,6 +234,21 @@ TEST(ServeServer, ClassifyReportsNbaExactSource) {
   EXPECT_EQ(field(warm, "exact_source"), "nba");
 }
 
+TEST(ServeServer, ClassifyWithoutExactClassIsStillOk) {
+  // exact_classification refuses this formula (its normal form's acceptance
+  // overflows the recurrence test's DNF cap): the request is valid, so the
+  // answer is ok with the syntactic class and no exact one — not a
+  // bad-request blaming the client.
+  Server server;
+  const Json response = req(server.handle_line(
+      R"js({"op":"classify","formula":"G F(q W (false W p))"})js"));
+  ASSERT_TRUE(response.find("ok")->as_bool()) << response.dump();
+  ASSERT_NE(response.find("exact"), nullptr);
+  EXPECT_TRUE(response.find("exact")->is_null()) << response.dump();
+  EXPECT_EQ(field(response, "syntactic"), "reactivity");
+  EXPECT_EQ(response.dump().find("acceptance.cpp"), std::string::npos);
+}
+
 TEST(ServeServer, ModelDeltaInvalidatesOnlyItsOwnDigest) {
   Server server;
   const std::string base =

@@ -82,9 +82,10 @@ int usage(std::ostream& out, int code) {
          "                  prints a table of engine statistics per spec\n"
          "  --threads N     worker threads for --check batches (default 1)\n"
          "  --explore-threads N\n"
-         "                  worker threads inside one emptiness search: parallel\n"
-         "                  state-graph exploration, CNDFS nested DFS, parallel\n"
-         "                  safety-prefix scan (docs/PARALLEL.md; default 1)\n"
+         "                  worker threads inside one check: parallel state-graph\n"
+         "                  exploration and the parallel safety-prefix scan; the\n"
+         "                  SCC search stays on one thread (docs/PARALLEL.md;\n"
+         "                  default 1)\n"
          "  --budget-states N\n"
          "                  state cap per --check construction (default 200000); an\n"
          "                  exhausted check reports outcome budget-states (MPH-V004)\n"
@@ -506,7 +507,7 @@ int main(int argc, char** argv) {
                       << t.to_string() << "mutants: " << st.mutants_checked << " checked, "
                       << st.mutants_skipped << " skipped; engines: safety-prefix "
                       << st.safety_prefix << ", guarantee-dual " << st.guarantee_dual
-                      << ", nested-DFS " << st.nested_dfs << ", SCC " << st.scc
+                      << ", SCC " << st.scc
                       << ", constant " << st.constant << "; unknown " << st.unknown << "\n\n";
             for (const auto& rv : vr.requirements)
               if (rv.witness)
@@ -547,7 +548,7 @@ int main(int argc, char** argv) {
              << ", \"mutants_skipped\": " << st.mutants_skipped
              << ", \"safety_prefix\": " << st.safety_prefix
              << ", \"guarantee_dual\": " << st.guarantee_dual
-             << ", \"nested_dfs\": " << st.nested_dfs << ", \"scc\": " << st.scc
+             << ", \"scc\": " << st.scc
              << ", \"constant\": " << st.constant << ", \"unknown\": " << st.unknown
              << "}}";
           extra_json += vj.str();
