@@ -180,14 +180,14 @@ void write_json(const std::string& path, bool quick, int repeats,
 // Micro-benchmarks: one batch / one exploration per iteration at the thread
 // count given by the range argument.
 void bench_check_all_dining(benchmark::State& state) {
-  const Config cfg = check_all_config("dining-8", fts::programs::dining(8), 8);
+  const Config cfg = check_all_config("dining-8", fts::programs::dining_philosophers(8), 8);
   for (auto _ : state) benchmark::DoNotOptimize(cfg.run(static_cast<unsigned>(state.range(0))));
   state.SetLabel("dining-8 batch, threads=" + std::to_string(state.range(0)));
 }
 BENCHMARK(bench_check_all_dining)->DenseRange(1, 4);
 
 void bench_explore_dining(benchmark::State& state) {
-  const Config cfg = explore_config("dining-10", fts::programs::dining(10));
+  const Config cfg = explore_config("dining-10", fts::programs::dining_philosophers(10));
   for (auto _ : state) benchmark::DoNotOptimize(cfg.run(static_cast<unsigned>(state.range(0))));
   state.SetLabel("dining-10 explore, threads=" + std::to_string(state.range(0)));
 }
@@ -217,9 +217,9 @@ int main(int argc, char** argv) {
   for (std::size_t n : quick ? std::vector<std::size_t>{4, 6}
                              : std::vector<std::size_t>{8, 10, 11}) {
     const std::string name = "dining-" + std::to_string(n);
-    configs.push_back(explore_config(name, fts::programs::dining(n)));
-    configs.push_back(check_all_config(name, fts::programs::dining(n), n));
-    configs.push_back(scan_config(name, fts::programs::dining(n), "G !(eat1 & eat2)"));
+    configs.push_back(explore_config(name, fts::programs::dining_philosophers(n)));
+    configs.push_back(check_all_config(name, fts::programs::dining_philosophers(n), n));
+    configs.push_back(scan_config(name, fts::programs::dining_philosophers(n), "G !(eat1 & eat2)"));
   }
   configs.push_back(scan_config(quick ? "ring-6" : "ring-10",
                                 fts::programs::ring_leader(quick ? 6 : 10), "F elected"));

@@ -88,8 +88,8 @@ std::vector<serve::Json> run_pass(serve::Server& server, const std::vector<Reque
 fts::programs::Program resolve(const std::string& name) {
   if (name == "peterson") return fts::programs::peterson();
   if (name == "trivial-mutex") return fts::programs::trivial_mutex();
-  if (name == "dining-5") return fts::programs::dining(5);
-  if (name == "dining-7") return fts::programs::dining(7);
+  if (name == "dining-5") return fts::programs::dining_philosophers(5);
+  if (name == "dining-7") return fts::programs::dining_philosophers(7);
   if (name == "ring-5") return fts::programs::ring_leader(5);
   if (name == "ring-7") return fts::programs::ring_leader(7);
   BENCH_CHECK(false, ("unknown workload model " + name).c_str());

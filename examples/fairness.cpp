@@ -39,7 +39,7 @@ int main() {
     auto result =
         fts::check(prog.system, ltl::patterns::accessibility("t1", "c1"), prog.atoms);
     t.add_row({fairness == fts::Fairness::Weak ? "weak" : "strong",
-               result.holds ? "holds" : "VIOLATED", std::to_string(result.product_states)});
+               result.holds ? "holds" : "VIOLATED", std::to_string(result.stats.product_states)});
   }
   std::cout << t.to_string() << "\n";
 

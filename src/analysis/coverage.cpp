@@ -39,7 +39,7 @@ CoverageResult analyze_coverage(const fts::Fts& system, const std::vector<ltl::F
   co.diagnostics = nullptr;
   co.class_dispatch = options.class_dispatch;
   Budget budget = co.budget;
-  if (!budget.has_state_cap()) budget.with_state_cap(co.max_states);
+  if (!budget.has_state_cap()) budget.with_state_cap(fts::kDefaultStateCap);
 
   const auto base = fts::check_all(system, specs, atoms, co);
   for (const auto& r : base)

@@ -156,7 +156,7 @@ VacuityResult analyze_vacuity(const fts::Fts& system, const std::vector<ltl::For
   co.diagnostics = nullptr;  // only MPH-Y findings leave this analyzer
   co.class_dispatch = options.class_dispatch;
   Budget budget = co.budget;
-  if (!budget.has_state_cap()) budget.with_state_cap(co.max_states);
+  if (!budget.has_state_cap()) budget.with_state_cap(fts::kDefaultStateCap);
 
   const auto originals = fts::check_all(system, specs, atoms, co);
 

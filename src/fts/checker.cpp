@@ -5,7 +5,6 @@
 #include <chrono>
 #include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -28,7 +27,6 @@ namespace mph::fts {
 
 using omega::Acceptance;
 using omega::Mark;
-using omega::MarkedGraph;
 using omega::MarkSet;
 
 std::string_view to_string(CheckEngine e) {
@@ -537,329 +535,345 @@ struct LabelCache {
   double seconds = 0.0;
 };
 
-/// Checks one compiled spec against an explored state graph. The caller
-/// provides the shared phases (exploration, fairness frame, labels); this
-/// runs compilation and the emptiness search and fills the per-spec stats.
-/// `diagnostics` overrides options.diagnostics (the batch hands each worker
-/// a private engine).
-CheckResult check_one(const StateGraph& sg, const FairnessFrame& fair,
-                      const std::vector<MarkSet>& fair_marks, const LabelCache& cache,
-                      const ltl::Formula& spec, const Budget& budget,
-                      const CheckOptions& options, analysis::DiagnosticEngine* diagnostics) {
-  const std::string subject = "check '" + spec.to_string() + "'";
-  CheckResult result;
-  result.stats.state_graph_nodes = sg.nodes.size();
-  MPH_ASSERT(sg.nodes.size() < (std::uint64_t{1} << 32));  // product keys pack into 64 bits
+// ---------------------------------------------------------------------------
+// route → search → verdict: how one spec is checked against an explored
+// state graph (docs/CHECKER.md, "Routing").
 
-  // Budget exhaustion ends the check with an *unknown* verdict: record the
-  // outcome, report MPH-V004, and leave holds == false with no witness.
-  auto give_up = [&](Outcome o, const std::string& phase) {
-    result.outcome = result.stats.outcome = o;
-    result.holds = false;
-    result.counterexample.reset();
-    if (diagnostics) {
-      auto& d = diagnostics->emit(
-          "MPH-V004", subject,
-          "budget exhausted (" + std::string(to_string(o)) + ") during " + phase +
-              " after " + std::to_string(result.stats.product_states) +
-              " product state(s); verdict unknown");
-      d.fix_hint = "raise CheckOptions::budget (state cap / deadline) or simplify "
-                   "the model or specification";
-    }
-  };
+/// How a spec is decided: the engine, the automaton it runs on, and where
+/// the class that picked them came from.
+struct Route {
+  CheckEngine engine = CheckEngine::Scc;
+  /// SafetyPrefix: det(spec) and its live (residual-nonempty) states.
+  std::optional<omega::DetOmega> det_spec;
+  std::vector<bool> live;
+  /// GuaranteeDual and Scc: the ¬spec automaton (the dual prunes its dead
+  /// states).
+  NegSpecView neg;
+  ClassSource class_source = ClassSource::None;
+  bool nba_fallback = false;
+  std::size_t normalize_steps = 0;
+  /// How the ¬spec NBA tableau construction ended; when it ran out of
+  /// budget the route has no automaton and nothing is searched.
+  Outcome tableau = Outcome::Complete;
 
+  std::size_t automaton_states() const {
+    return det_spec ? det_spec->state_count() : neg.state_count();
+  }
+};
+
+/// Picks the engine for `spec` and compiles its automaton. Under class
+/// dispatch a safety spec (as written, or after normalization) goes to the
+/// closed-prefix scan on det(spec), a guarantee spec to the safety dual of
+/// det(¬spec); everything else — and a shortcut whose compile fails — goes
+/// to the SCC search on det(¬spec), with the NBA tableau as the last resort.
+Route route(const ltl::Formula& spec, const lang::Alphabet& alphabet, const Budget& budget,
+            const CheckOptions& options) {
+  Route r;
   const bool dispatch = options.class_dispatch && !options.force_scc;
-  core::Classification syn =
-      dispatch ? ltl::syntactic_classification(spec) : core::Classification{};
-  result.stats.class_source = dispatch ? ClassSource::Syntactic : ClassSource::None;
-
-  // ΔΓ-normalization rescue (lazy, memoized, budget-capped): a completed
-  // hierarchy normal form is an equivalent formula that (a) the syntactic
-  // rules classify sharply and (b) always compiles deterministically. It is
-  // consulted when the spec as written shows neither shortcut class, and
-  // again whenever a compile below falls out of the old rewrite fragment.
-  bool norm_tried = false;
+  // The ΔΓ-normal form (src/ltl/normalize.hpp): an equivalent formula that
+  // the syntactic rules classify sharply and that always compiles
+  // deterministically. Computed lazily, at most once, only under dispatch.
+  bool normalized = !dispatch || options.normalize_steps == 0;
   std::optional<ltl::Formula> normal;
-  auto get_normal = [&]() -> const std::optional<ltl::Formula>& {
-    if (!norm_tried && options.class_dispatch && options.normalize_steps > 0) {
-      norm_tried = true;
+  auto normal_form = [&]() -> const std::optional<ltl::Formula>& {
+    if (!normalized) {
+      normalized = true;
       ltl::NormalizeOptions nopt;
       nopt.budget = Budget().with_state_cap(options.normalize_steps);
       ltl::NormalizeResult nr = ltl::normalize(spec, nopt);
-      result.stats.normalize_steps = nr.steps;
+      r.normalize_steps = nr.steps;
       if (nr.complete()) normal = nr.form;
     }
     return normal;
   };
-
-  ltl::Formula routed = spec;
-  if (dispatch && !syn.safety && !syn.guarantee && get_normal()) {
-    core::Classification exact = ltl::syntactic_classification(*normal);
-    if (exact.safety || exact.guarantee) {
-      syn = exact;
-      routed = *normal;
-      result.stats.class_source = ClassSource::Normalized;
-    }
-  }
-
-  // Class shortcut 1 — syntactically-safety spec: det(spec) recognizes a
-  // closed language, so a run is accepting iff it never enters a
-  // residual-empty ("dead") state, and a computation violates the spec iff
-  // some finite prefix already drives the automaton dead. Fairness drops out
-  // entirely: transition fairness is machine-closed (every finite run of a
-  // finite FTS extends to a fair computation — schedule enabled fair
-  // transitions round-robin; stutter self-loops exist only where nothing is
-  // enabled), so a bad prefix is reachable on a fair computation iff it is
-  // reachable at all. Plain BFS over node × automaton pairs decides it.
-  if (dispatch && syn.safety) {
-    auto t_compile = Clock::now();
-    std::shared_ptr<omega::DetOmega> m;
-    try {
-      m = std::make_shared<omega::DetOmega>(ltl::compile(routed, cache.alphabet));
-    } catch (const std::invalid_argument&) {
-      // Outside the old rewrite fragment: compile the normal form instead.
-      if (get_normal() && !(routed == *normal)) try {
-        m = std::make_shared<omega::DetOmega>(ltl::compile(*normal, cache.alphabet));
-        result.stats.class_source = ClassSource::Normalized;
-      } catch (const std::invalid_argument&) {
-      }
-      // Otherwise fall through to the ω-engines.
-    }
-    if (m) {
-      result.stats.compile_seconds = elapsed(t_compile);
-      result.stats.automaton_states = m->state_count();
-      result.stats.product_bound = sg.nodes.size() * m->state_count();
-      result.stats.engine = CheckEngine::SafetyPrefix;
-      auto t_search = Clock::now();
-      const std::vector<bool> live = omega::live_states(*m);
-      // Node path root..bad of a run driving det(spec) dead; shared by the
-      // sequential BFS and the multicore scan so the verdict tail is one.
-      std::optional<std::vector<std::size_t>> bad_path;
-      if (options.explore_threads > 1) {
-        result.stats.threads_used = options.explore_threads;
-        detail::ParallelScanResult scan = detail::parallel_safety_scan(
-            sg, cache.labels, *m, live, budget, options.explore_threads);
-        result.stats.worker_states = std::move(scan.worker_states);
-        result.stats.worker_steals = std::move(scan.worker_steals);
-        result.product_states = result.stats.product_states = scan.product_states;
-        result.stats.search_seconds = elapsed(t_search);
-        if (!is_complete(scan.outcome)) {
-          give_up(scan.outcome, "the closed-prefix reachability scan");
-          return result;
-        }
-        bad_path = std::move(scan.bad_path);
-      } else {
-        FlatInterner<std::uint64_t, IntHash> pids;
-        std::vector<std::int64_t> parent;  // per pid: BFS predecessor, -1 at the root
-        std::deque<std::uint32_t> queue;
-        auto intern = [&](std::size_t n, omega::State q, std::int64_t par) {
-          auto [idx, inserted] = pids.intern(pack(n, q));
-          if (inserted) {
-            budget.require(pids.size() - 1);
-            parent.push_back(par);
-            queue.push_back(static_cast<std::uint32_t>(idx));
-          }
-        };
-        std::optional<std::uint32_t> bad;
-        try {
-          intern(0, m->initial(), -1);
-          while (!queue.empty()) {
-            const std::uint32_t p = queue.front();
-            queue.pop_front();
-            const std::uint64_t key = pids[p];
-            const std::size_t n = node_of(key);
-            const omega::State q = aut_of(key);
-            if (!live[q]) {
-              bad = p;  // dead states are closed under successors; stop here
-              break;
-            }
-            const omega::State q2 = m->next(q, cache.labels[n]);
-            for (auto [target, t] : sg.edges[n]) {
-              (void)t;
-              intern(target, q2, static_cast<std::int64_t>(p));
-            }
-          }
-        } catch (const BudgetExhausted& e) {
-          result.product_states = result.stats.product_states = pids.size();
-          result.stats.search_seconds = elapsed(t_search);
-          give_up(e.outcome(), "the closed-prefix reachability scan");
-          return result;
-        }
-        result.product_states = result.stats.product_states = pids.size();
-        result.stats.search_seconds = elapsed(t_search);
-        if (bad) {
-          std::vector<std::size_t> path_nodes;
-          for (std::int64_t p = static_cast<std::int64_t>(*bad); p >= 0; p = parent[p])
-            path_nodes.push_back(node_of(pids[static_cast<std::size_t>(p)]));
-          std::reverse(path_nodes.begin(), path_nodes.end());
-          bad_path = std::move(path_nodes);
-        }
-      }
-      if (diagnostics)
-        diagnostics->emit(
-            "MPH-V002", subject,
-            "product of " + std::to_string(sg.nodes.size()) + " system states × " +
-                std::to_string(m->state_count()) + "-state det(spec) automaton scanned " +
-                std::to_string(result.stats.product_states) + " of at most " +
-                std::to_string(result.stats.product_bound) +
-                " states (closed-prefix reachability; no ω-product)");
-      if (!bad_path) {
-        result.holds = true;
-        return result;
-      }
-      result.holds = false;
-      // Witness: the bad prefix, extended by an arbitrary cycle into a full
-      // computation (every node has a successor; deadlocks stutter). Any
-      // extension of a bad prefix violates a closed property, and by machine
-      // closure some *fair* computation shares this prefix.
-      const std::vector<std::size_t>& path_nodes = *bad_path;
-      Counterexample cex;
-      for (std::size_t n : path_nodes) cex.prefix.push_back(sg.nodes[n].valuation);
-      std::vector<std::int64_t> seen_at(sg.nodes.size(), -1);
-      std::vector<std::size_t> walk{path_nodes.back()};
-      seen_at[walk[0]] = 0;
-      for (;;) {
-        const std::size_t next = sg.edges[walk.back()].front().first;
-        if (seen_at[next] >= 0) {
-          // Computation: prefix ++ walk[1..] ++ (walk[j..])^ω where j is
-          // where the walk re-entered itself.
-          for (std::size_t i = 1; i < walk.size(); ++i)
-            cex.prefix.push_back(sg.nodes[walk[i]].valuation);
-          for (std::size_t i = static_cast<std::size_t>(seen_at[next]); i < walk.size(); ++i)
-            cex.loop.push_back(sg.nodes[walk[i]].valuation);
-          break;
-        }
-        seen_at[next] = static_cast<std::int64_t>(walk.size());
-        walk.push_back(next);
-      }
-      result.counterexample = std::move(cex);
-      if (diagnostics) {
-        auto& d = diagnostics->emit("MPH-V003", subject,
-                                    "a computation violates the specification");
-        d.witness = "bad prefix of " + std::to_string(result.counterexample->prefix.size()) +
-                    " state(s) (closed-prefix scan)";
-      }
-      return result;
-    }
-  }
-
-  // Compile ¬spec: for a syntactically-guarantee spec under class dispatch,
-  // det(¬spec) recognizes a *closed* language (shortcut 2): restrict it to
-  // its live states and acceptance becomes ⊤ — the search degrades to a
-  // fairness-only lasso hunt instead of inheriting the Fin-shaped acceptance
-  // of the full ¬spec. Otherwise: deterministic route first, NBA tableau as
-  // fallback.
-  auto t_compile = Clock::now();
-  NegSpecView neg;
-  bool dual = false;
-  if (dispatch && !syn.safety && syn.guarantee) {
+  // det(f), else det of the same shape over the normal form (which marks the
+  // class source Normalized). A candidate that failed once is not retried.
+  std::vector<ltl::Formula> failed;
+  auto try_compile = [&](const ltl::Formula& f) -> std::optional<omega::DetOmega> {
+    if (std::find(failed.begin(), failed.end(), f) != failed.end()) return std::nullopt;
     std::optional<omega::DetOmega> m;
     try {
-      m = ltl::compile(f_not(routed), cache.alphabet);
+      m = ltl::compile_hierarchy_form(ltl::to_hierarchy_form(f), alphabet);
     } catch (const std::invalid_argument&) {
-      // Outside the old rewrite fragment: negate the normal form instead
-      // (the negation of a hierarchy form is still a hierarchy form).
-      if (get_normal() && !(routed == *normal)) try {
-        m = ltl::compile(f_not(*normal), cache.alphabet);
-        result.stats.class_source = ClassSource::Normalized;
-      } catch (const std::invalid_argument&) {
-      }
+      // A construction can still refuse (e.g. too many acceptance marks).
     }
-    if (m) {
-      const std::vector<bool> live = omega::live_states(*m);
-      neg = deterministic_view(*m, &live);
-      dual = true;
-    }
-  }
-  if (!dual) try {
-    neg = deterministic_view(ltl::compile(f_not(spec), cache.alphabet));
-  } catch (const std::invalid_argument&) {
-    // Second chance: the ΔΓ-normal form (when one was obtained) is an
-    // equivalent formula inside the deterministic fragment — negating a
-    // hierarchy form stays a hierarchy form, so this compile succeeds and
-    // the check keeps a deterministic (and usually smaller) product.
-    bool rescued = false;
-    if (get_normal()) {
-      try {
-        neg = deterministic_view(ltl::compile(f_not(*normal), cache.alphabet));
-        rescued = true;
-        result.stats.class_source = ClassSource::Normalized;
-      } catch (const std::invalid_argument&) {
-      }
-    }
-    if (!rescued) {
-    result.stats.nba_fallback = true;
-    auto nba = ltl::to_nba(f_not(spec), cache.alphabet, budget);
-    if (!nba.complete()) {
-      result.stats.compile_seconds = elapsed(t_compile);
-      give_up(nba.outcome, "the ¬spec NBA tableau construction");
-      return result;
-    }
-    neg = nba_view(*nba.value, cache.alphabet.size());
-    if (diagnostics)
-      diagnostics
-          ->emit("MPH-V001", subject,
-                 "¬spec is outside the deterministic hierarchy fragment; using the "
-                 "NBA tableau (product acceptance stays Büchi-shaped)")
-          .fix_hint = "rewriting the specification into hierarchy form gives a "
-                      "deterministic, usually smaller product";
-    }
-  }
-  result.stats.compile_seconds = elapsed(t_compile);
-  result.stats.automaton_states = neg.state_count();
-  result.stats.product_bound = sg.nodes.size() * neg.state_count();
+    if (!m) failed.push_back(f);
+    return m;
+  };
+  auto compile_det = [&](const ltl::Formula& f, bool negated) {
+    auto m = try_compile(f);
+    if (m || !normal_form()) return m;
+    if ((m = try_compile(negated ? f_not(*normal) : *normal)))
+      r.class_source = ClassSource::Normalized;
+    return m;
+  };
 
-  Acceptance acc =
-      Acceptance::conj(Acceptance(fair.acceptance), neg.acceptance.shift(fair.mark_count));
-  MPH_REQUIRE((acc.mentioned_marks() >> 63) == 0, "too many fairness marks");
+  core::Classification cls;
+  ltl::Formula routed = spec;
+  if (dispatch) {
+    r.class_source = ClassSource::Syntactic;
+    cls = ltl::syntactic_classification(spec);
+    if (!cls.safety && !cls.guarantee && normal_form()) {
+      const core::Classification exact = ltl::syntactic_classification(*normal);
+      if (exact.safety || exact.guarantee) {
+        cls = exact;
+        routed = *normal;
+        r.class_source = ClassSource::Normalized;
+      }
+    }
+  }
+
+  // Shortcut 1 — safety: det(spec) recognizes a closed language, so a
+  // computation violates the spec iff some finite prefix already drives the
+  // automaton dead. Fairness drops out: transition fairness is
+  // machine-closed (every finite run of a finite FTS extends to a fair
+  // computation — schedule enabled fair transitions round-robin; stutter
+  // self-loops exist only where nothing is enabled), so a bad prefix is
+  // reachable on a fair computation iff it is reachable at all.
+  if (cls.safety) {
+    if (auto m = compile_det(routed, false)) {
+      r.engine = CheckEngine::SafetyPrefix;
+      r.live = omega::live_states(*m);
+      r.det_spec = std::move(m);
+      return r;
+    }
+  } else if (cls.guarantee) {
+    // Shortcut 2 — guarantee: det(¬spec) recognizes a closed language;
+    // restricted to its live states its acceptance becomes ⊤ and the search
+    // a fairness-only lasso hunt, instead of inheriting the Fin-shaped
+    // acceptance of the full ¬spec.
+    if (auto m = compile_det(f_not(routed), true)) {
+      r.engine = CheckEngine::GuaranteeDual;
+      const std::vector<bool> live = omega::live_states(*m);
+      r.neg = deterministic_view(*m, &live);
+      return r;
+    }
+  }
+  if (auto m = compile_det(f_not(spec), true)) {
+    r.neg = deterministic_view(*m);
+    return r;
+  }
+  r.nba_fallback = true;
+  auto nba = ltl::to_nba(f_not(spec), alphabet, budget);
+  r.tableau = nba.outcome;
+  if (nba.complete()) r.neg = nba_view(*nba.value, alphabet.size());
+  return r;
+}
+
+/// A violation as state-graph nodes: the prefix, then a loop whose last
+/// node steps back to loop.front().
+struct NodeLasso {
+  std::vector<std::size_t> prefix, loop;
+};
+
+struct SearchResult {
+  Outcome outcome = Outcome::Complete;
+  std::size_t product_states = 0;
+  std::optional<NodeLasso> violation;
+  unsigned threads_used = 1;
+  std::vector<std::size_t> worker_states, worker_steals;
+};
+
+/// The sequential closed-prefix scan: BFS over node × det(spec) pairs until
+/// a dead automaton state is reached.
+detail::ScanResult safety_scan(const StateGraph& sg, const std::vector<lang::Symbol>& labels,
+                               const omega::DetOmega& m, const std::vector<bool>& live,
+                               const Budget& budget) {
+  detail::ScanResult res;
+  FlatInterner<std::uint64_t, IntHash> pids;
+  std::vector<std::int64_t> parent;  // per pid: BFS predecessor, -1 at the root
+  std::deque<std::uint32_t> queue;
+  auto intern = [&](std::size_t n, omega::State q, std::int64_t par) {
+    auto [idx, inserted] = pids.intern(pack(n, q));
+    if (inserted) {
+      budget.require(pids.size() - 1);
+      parent.push_back(par);
+      queue.push_back(static_cast<std::uint32_t>(idx));
+    }
+  };
+  std::optional<std::uint32_t> bad;
+  try {
+    intern(0, m.initial(), -1);
+    while (!queue.empty()) {
+      const std::uint32_t p = queue.front();
+      queue.pop_front();
+      const std::uint64_t key = pids[p];
+      const std::size_t n = node_of(key);
+      const omega::State q = aut_of(key);
+      if (!live[q]) {
+        bad = p;  // dead states are closed under successors; stop here
+        break;
+      }
+      const omega::State q2 = m.next(q, labels[n]);
+      for (auto [target, t] : sg.edges[n]) {
+        (void)t;
+        intern(target, q2, static_cast<std::int64_t>(p));
+      }
+    }
+  } catch (const BudgetExhausted& e) {
+    res.outcome = e.outcome();
+  }
+  res.product_states = pids.size();
+  if (bad) {
+    std::vector<std::size_t> path;
+    for (std::int64_t p = static_cast<std::int64_t>(*bad); p >= 0; p = parent[p])
+      path.push_back(node_of(pids[static_cast<std::size_t>(p)]));
+    std::reverse(path.begin(), path.end());
+    res.bad_path = std::move(path);
+  }
+  return res;
+}
+
+/// A bad prefix extended into a full computation by the first-edge walk from
+/// its last node until the walk re-enters itself (every node has a
+/// successor; deadlocks stutter). Any extension of a bad prefix violates a
+/// closed property, and by machine closure some *fair* computation shares
+/// this prefix.
+NodeLasso extend_bad_prefix(const StateGraph& sg, std::vector<std::size_t> prefix) {
+  NodeLasso lasso{std::move(prefix), {}};
+  std::vector<std::int64_t> seen_at(sg.nodes.size(), -1);
+  std::vector<std::size_t> walk{lasso.prefix.back()};
+  seen_at[walk[0]] = 0;
+  for (;;) {
+    const std::size_t next = sg.edges[walk.back()].front().first;
+    if (seen_at[next] >= 0) {
+      // Computation: prefix ++ walk[1..] ++ (walk[j..])^ω where j is where
+      // the walk re-entered itself.
+      lasso.prefix.insert(lasso.prefix.end(), walk.begin() + 1, walk.end());
+      lasso.loop.assign(walk.begin() + seen_at[next], walk.end());
+      return lasso;
+    }
+    seen_at[next] = static_cast<std::int64_t>(walk.size());
+    walk.push_back(next);
+  }
+}
+
+/// Runs the route's engine over the state graph: the closed-prefix scan
+/// (on `explore_threads` workers) for SafetyPrefix, the on-the-fly SCC
+/// search for the rest. Budget exhaustion comes back as the outcome.
+SearchResult search(const Route& route, const StateGraph& sg,
+                    const std::vector<lang::Symbol>& labels, const FairnessFrame& fair,
+                    const std::vector<MarkSet>& fair_marks, const Budget& budget,
+                    unsigned explore_threads) {
+  SearchResult found;
+  if (!is_complete(route.tableau)) {
+    found.outcome = route.tableau;
+    return found;
+  }
+  if (route.det_spec) {
+    detail::ScanResult scan;
+    if (explore_threads > 1) {
+      scan = detail::parallel_safety_scan(sg, labels, *route.det_spec, route.live, budget,
+                                          explore_threads);
+      found.threads_used = explore_threads;
+    } else {
+      scan = safety_scan(sg, labels, *route.det_spec, route.live, budget);
+    }
+    found.outcome = scan.outcome;
+    found.product_states = scan.product_states;
+    found.worker_states = std::move(scan.worker_states);
+    found.worker_steals = std::move(scan.worker_steals);
+    if (scan.bad_path) found.violation = extend_bad_prefix(sg, std::move(*scan.bad_path));
+    return found;
+  }
 
   // One on-the-fly SCC search decides every ω-product, whatever the
   // acceptance shape and explore_threads (the search itself is sequential).
-  result.stats.engine = dual ? CheckEngine::GuaranteeDual : CheckEngine::Scc;
-  auto emit_product_note = [&] {
-    if (!diagnostics) return;
-    diagnostics->emit(
-        "MPH-V002", subject,
-        "product of " + std::to_string(sg.nodes.size()) + " system states × " +
-            std::to_string(neg.state_count()) + "-state ¬spec automaton built " +
-            std::to_string(result.stats.product_states) + " of at most " +
-            std::to_string(result.stats.product_bound) + " states (on-the-fly SCC search" +
-            (dual ? "; guarantee dual, fairness-only acceptance" : "") + ")");
-  };
-
-  auto t_search = Clock::now();
-  ProductSearch search(sg, cache.labels, fair_marks, fair.mark_count, neg, acc, budget);
-  std::optional<PidLasso> lasso;
+  const Acceptance acc =
+      Acceptance::conj(Acceptance(fair.acceptance), route.neg.acceptance.shift(fair.mark_count));
+  MPH_REQUIRE((acc.mentioned_marks() >> 63) == 0, "too many fairness marks");
+  ProductSearch product(sg, labels, fair_marks, fair.mark_count, route.neg, acc, budget);
   try {
-    lasso = search.run();
+    if (auto lasso = product.run()) {
+      NodeLasso nodes;
+      for (std::uint32_t p : lasso->prefix) nodes.prefix.push_back(product.node_of_pid(p));
+      for (std::uint32_t p : lasso->loop) nodes.loop.push_back(product.node_of_pid(p));
+      found.violation = std::move(nodes);
+    }
   } catch (const BudgetExhausted& e) {
-    result.product_states = result.stats.product_states = search.product_states();
-    result.stats.search_seconds = elapsed(t_search);
-    emit_product_note();
-    give_up(e.outcome(), "the on-the-fly SCC product search");
-    return result;
+    found.outcome = e.outcome();
   }
-  result.product_states = result.stats.product_states = search.product_states();
-  result.stats.search_seconds = elapsed(t_search);
-  emit_product_note();
-  if (!lasso) {
-    result.holds = true;
-    return result;
+  found.product_states = product.product_states();
+  return found;
+}
+
+/// The verdict tail shared by every engine: fills the result and its stats,
+/// builds the counterexample, and reports MPH-V001..V004.
+CheckResult verdict(const StateGraph& sg, const Route& route, SearchResult found,
+                    const ltl::Formula& spec, analysis::DiagnosticEngine* diagnostics) {
+  CheckResult result;
+  CheckStats& s = result.stats;
+  s.state_graph_nodes = sg.nodes.size();
+  s.automaton_states = route.automaton_states();
+  s.product_states = found.product_states;
+  s.product_bound = s.state_graph_nodes * s.automaton_states;
+  s.nba_fallback = route.nba_fallback;
+  s.engine = route.engine;
+  s.class_source = route.class_source;
+  s.normalize_steps = route.normalize_steps;
+  s.threads_used = found.threads_used;
+  s.worker_states = std::move(found.worker_states);
+  s.worker_steals = std::move(found.worker_steals);
+  // Budget exhaustion ends the check with an *unknown* verdict: holds ==
+  // false with no witness.
+  result.outcome = s.outcome = found.outcome;
+  const bool complete = is_complete(found.outcome);
+  result.holds = complete && !found.violation;
+  if (found.violation) {  // only a complete search finds one
+    Counterexample cex;
+    for (std::size_t n : found.violation->prefix) cex.prefix.push_back(sg.nodes[n].valuation);
+    for (std::size_t n : found.violation->loop) cex.loop.push_back(sg.nodes[n].valuation);
+    result.counterexample = std::move(cex);
   }
-  result.holds = false;
-  if (diagnostics) {
-    auto& d = diagnostics->emit("MPH-V003", subject,
-                                "a fair computation violates the specification");
-    d.witness =
-        "fair lasso through " + std::to_string(lasso->loop.size()) + " product state(s)";
+  if (!diagnostics) return result;
+
+  const std::string subject = "check '" + spec.to_string() + "'";
+  const bool scan = route.engine == CheckEngine::SafetyPrefix;
+  const bool searched = is_complete(route.tableau);
+  if (route.nba_fallback && searched)
+    diagnostics
+        ->emit("MPH-V001", subject,
+               "¬spec is outside the deterministic hierarchy fragment; using the "
+               "NBA tableau (product acceptance stays Büchi-shaped)")
+        .fix_hint = "rewriting the specification into hierarchy form gives a "
+                    "deterministic, usually smaller product";
+  // A scan cut short by the budget leaves no product note.
+  if (searched && (complete || !scan)) {
+    const char* how =
+        scan ? "-state det(spec) automaton scanned " : "-state ¬spec automaton built ";
+    const char* engine =
+        scan ? "closed-prefix reachability; no ω-product"
+        : route.engine == CheckEngine::GuaranteeDual
+            ? "on-the-fly SCC search; guarantee dual, fairness-only acceptance"
+            : "on-the-fly SCC search";
+    diagnostics->emit("MPH-V002", subject,
+                      "product of " + std::to_string(s.state_graph_nodes) + " system states × " +
+                          std::to_string(s.automaton_states) + how +
+                          std::to_string(s.product_states) + " of at most " +
+                          std::to_string(s.product_bound) + " states (" + engine + ")");
   }
-  auto valuation_of = [&](std::uint32_t p) -> const Valuation& {
-    return sg.nodes[search.node_of_pid(p)].valuation;
-  };
-  Counterexample cex;
-  for (std::uint32_t p : lasso->prefix) cex.prefix.push_back(valuation_of(p));
-  for (std::uint32_t p : lasso->loop) cex.loop.push_back(valuation_of(p));
-  result.counterexample = std::move(cex);
+  if (!complete) {
+    const char* phase = !searched ? "the ¬spec NBA tableau construction"
+                        : scan    ? "the closed-prefix reachability scan"
+                                  : "the on-the-fly SCC product search";
+    diagnostics
+        ->emit("MPH-V004", subject,
+               "budget exhausted (" + std::string(to_string(found.outcome)) + ") during " +
+                   phase + " after " + std::to_string(s.product_states) +
+                   " product state(s); verdict unknown")
+        .fix_hint = "raise CheckOptions::budget (state cap / deadline) or simplify "
+                    "the model or specification";
+  } else if (result.counterexample) {
+    diagnostics
+        ->emit("MPH-V003", subject,
+               scan ? "a computation violates the specification"
+                    : "a fair computation violates the specification")
+        .witness = scan ? "bad prefix of " + std::to_string(result.counterexample->prefix.size()) +
+                              " state(s) (closed-prefix scan)"
+                        : "fair lasso through " +
+                              std::to_string(result.counterexample->loop.size()) +
+                              " product state(s)";
+  }
   return result;
 }
 
@@ -872,14 +886,6 @@ std::vector<std::string> validated_atoms(const ltl::Formula& spec, const AtomMap
 }
 
 }  // namespace
-
-CheckResult check(const Fts& system, const ltl::Formula& spec, const AtomMap& atoms,
-                  std::size_t max_states, analysis::DiagnosticEngine* diagnostics) {
-  CheckOptions options;
-  options.max_states = max_states;
-  options.diagnostics = diagnostics;
-  return check(system, spec, atoms, options);
-}
 
 CheckResult check(const Fts& system, const ltl::Formula& spec, const AtomMap& atoms,
                   const CheckOptions& options) {
@@ -908,7 +914,7 @@ std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::For
       r.outcome = r.stats.outcome = Outcome::Complete;
       r.stats.engine = CheckEngine::StaticProof;
       r.stats.state_graph_nodes = 0;
-      r.product_states = r.stats.product_states = r.stats.product_bound = 0;
+      r.stats.product_states = r.stats.product_bound = 0;
       r.counterexample.reset();
       results[i] = std::move(r);
       resolved[i] = 1;
@@ -920,10 +926,8 @@ std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::For
     if (n_resolved == specs.size()) return results;
   }
 
-  // Effective budget: options.budget, with the deprecated max_states alias
-  // seeding the state cap when the budget itself carries none.
   Budget budget = options.budget;
-  if (!budget.has_state_cap()) budget.with_state_cap(options.max_states);
+  if (!budget.has_state_cap()) budget.with_state_cap(kDefaultStateCap);
 
   // Shared phases: one exploration, one fairness frame, one label cache per
   // distinct atom vocabulary.
@@ -954,6 +958,7 @@ std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::For
     return results;
   }
   const StateGraph& sg = ex.graph;
+  MPH_ASSERT(sg.nodes.size() < (std::uint64_t{1} << 32));  // product keys pack into 64 bits
   FairnessFrame fair = fairness_frame(system);
   std::vector<MarkSet> fair_marks = fair_node_marks(sg, fair);
 
@@ -973,12 +978,23 @@ std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::For
     cache_of[i] = &it->second;
   }
 
+  // Per spec: route (class routing and compilation), search, verdict. Each
+  // worker reports into its own diagnostics engine.
   auto run_one = [&](std::size_t i, analysis::DiagnosticEngine* engine) {
-    CheckResult r = check_one(sg, fair, fair_marks, *cache_of[i], specs[i],
-                              budget, options, engine);
-    r.stats.explore_seconds = explore_seconds;
-    r.stats.label_seconds = cache_of[i]->seconds;
-    results[i] = std::move(r);
+    const LabelCache& cache = *cache_of[i];
+    const auto t_compile = Clock::now();
+    const Route r = route(specs[i], cache.alphabet, budget, options);
+    const double compile_seconds = elapsed(t_compile);
+    const auto t_search = Clock::now();
+    SearchResult found =
+        search(r, sg, cache.labels, fair, fair_marks, budget, options.explore_threads);
+    const double search_seconds = elapsed(t_search);
+    results[i] = verdict(sg, r, std::move(found), specs[i], engine);
+    CheckStats& s = results[i].stats;
+    s.explore_seconds = explore_seconds;
+    s.label_seconds = cache.seconds;
+    s.compile_seconds = compile_seconds;
+    s.search_seconds = search_seconds;
   };
 
   std::size_t threads = std::max<unsigned>(options.threads, 1);

@@ -95,7 +95,7 @@ struct CheckStats {
   std::vector<std::size_t> worker_steals;  ///< per-worker frontier steals (scan only)
   double explore_seconds = 0.0;       ///< state-graph exploration
   double label_seconds = 0.0;         ///< atom labelling of the state graph
-  double compile_seconds = 0.0;       ///< ¬spec compilation
+  double compile_seconds = 0.0;       ///< routing: classification, normalization, compilation
   double search_seconds = 0.0;        ///< product construction + emptiness search
 };
 
@@ -105,41 +105,23 @@ struct CheckResult {
   /// the verdict is *unknown*, not "violated".
   bool holds = false;
   std::optional<Counterexample> counterexample;
-  /// Product states actually built (== stats.product_states; kept as a
-  /// top-level field for existing callers).
-  std::size_t product_states = 0;
-  /// How far the check got (== stats.outcome; mirrored like product_states).
-  /// Anything other than Complete means the budget ran out and `holds` must
-  /// not be trusted; MPH-V004 is emitted when diagnostics are attached.
+  /// How far the check got (== stats.outcome). Anything other than Complete
+  /// means the budget ran out and `holds` must not be trusted; MPH-V004 is
+  /// emitted when diagnostics are attached.
   Outcome outcome = Outcome::Complete;
   CheckStats stats;
 };
 
-/// Checks that every fair computation satisfies `spec`. The atoms of `spec`
-/// must all be present in `atoms`. The negated specification is compiled
-/// deterministically when it lies in the hierarchy fragment; otherwise, for
-/// future-only formulas, a nondeterministic Büchi tableau is used. Throws if
-/// neither route applies.
-///
-/// When `diagnostics` is given, the checker reports through it: MPH-V001
-/// (tableau fallback), MPH-V002 (product size), MPH-V003 (violation found),
-/// MPH-V004 (budget exhausted, verdict unknown).
-///
-/// Running past `max_states` no longer throws: the result comes back with
-/// `outcome == Outcome::BudgetStates` (see CheckResult::outcome).
-CheckResult check(const Fts& system, const ltl::Formula& spec, const AtomMap& atoms,
-                  std::size_t max_states = 200000,
-                  analysis::DiagnosticEngine* diagnostics = nullptr);
+/// State cap applied to a check whose budget carries none: check_all (and
+/// the analyzers built on it) explore at most this many states by default.
+inline constexpr std::size_t kDefaultStateCap = 200000;
 
 struct CheckOptions {
   /// Resource budget governing the exploration, each ¬spec tableau, and each
   /// product construction (the state cap bounds each of those
-  /// individually). When the budget carries no state cap of its own, the
-  /// deprecated `max_states` alias below seeds it.
+  /// individually). A budget without a state cap is capped at
+  /// kDefaultStateCap.
   Budget budget;
-  /// Deprecated alias for `budget.with_state_cap(...)`: honored only when
-  /// `budget` has no state cap. Kept so existing callers keep compiling.
-  std::size_t max_states = 200000;
   /// Worker threads checking independent specs. 1 (the default) keeps the
   /// run fully sequential and deterministic; with more threads, results and
   /// merged diagnostics still come back in spec order.
@@ -166,10 +148,11 @@ struct CheckOptions {
   /// skipped for specs outside the dispatchable shapes.
   bool class_dispatch = false;
   /// Rule-application cap for the ΔΓ-normalization attempted (under
-  /// class_dispatch) when the syntactic classification finds neither safety
-  /// nor guarantee: a completed normal form re-classifies the spec and
-  /// becomes the compilation source, routing it to the shortcut engines.
-  /// 0 disables normalization in the checker.
+  /// class_dispatch, never with force_scc) when the syntactic
+  /// classification finds neither safety nor guarantee, or when the spec as
+  /// written does not compile deterministically: a completed normal form
+  /// re-classifies the spec and becomes the compilation source, routing it
+  /// to the shortcut engines. 0 disables normalization in the checker.
   std::size_t normalize_steps = 512;
   /// Exploration-free proof hook, consulted per spec *before* the shared
   /// exploration (skipped under `force_scc`).
@@ -190,10 +173,17 @@ struct CheckOptions {
 std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::Formula>& specs,
                                    const AtomMap& atoms, const CheckOptions& options = {});
 
-/// Single-spec variant taking the full options (budget, engine selection,
-/// diagnostics). Equivalent to check_all with a one-element batch, so
-/// Outcome reporting is identical between the two entry points.
+/// Checks that every fair computation satisfies `spec`. The atoms of `spec`
+/// must all be present in `atoms`. The negated specification is compiled
+/// deterministically when it lies in the hierarchy fragment; otherwise, for
+/// future-only formulas, a nondeterministic Büchi tableau is used. Throws if
+/// neither route applies. Equivalent to check_all with a one-element batch,
+/// so Outcome reporting is identical between the two entry points.
+///
+/// When `options.diagnostics` is set, the checker reports through it:
+/// MPH-V001 (tableau fallback), MPH-V002 (product size), MPH-V003
+/// (violation found), MPH-V004 (budget exhausted, verdict unknown).
 CheckResult check(const Fts& system, const ltl::Formula& spec, const AtomMap& atoms,
-                  const CheckOptions& options);
+                  const CheckOptions& options = {});
 
 }  // namespace mph::fts

@@ -348,12 +348,6 @@ ExploreResult explore(const Fts& system, const Budget& budget, unsigned threads)
   return explore_parallel(system, budget, threads);
 }
 
-StateGraph explore(const Fts& system, std::size_t max_states) {
-  ExploreResult res = explore(system, Budget().with_state_cap(max_states));
-  MPH_REQUIRE(is_complete(res.outcome), "state graph exceeds max_states");
-  return std::move(res.graph);
-}
-
 AtomFn var_equals(const Fts& system, std::string_view var, int value) {
   std::size_t idx = system.var_index(var);
   return [idx, value](const Fts&, const Valuation& v, int) { return v[idx] == value; };

@@ -117,12 +117,6 @@ ExploreResult explore(const Fts& system, const Budget& budget);
 /// threads <= 1 takes exactly the sequential code path.
 ExploreResult explore(const Fts& system, const Budget& budget, unsigned threads);
 
-/// Legacy wrapper; throws std::invalid_argument beyond `max_states` or on a
-/// domain violation.
-[[deprecated(
-    "use explore(system, Budget().with_state_cap(n)) and consult ExploreResult::outcome")]]
-StateGraph explore(const Fts& system, std::size_t max_states = 200000);
-
 /// Atomic state predicate over (valuation, last-taken transition).
 using AtomFn = std::function<bool(const Fts&, const Valuation&, int last_taken)>;
 

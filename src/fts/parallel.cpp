@@ -27,12 +27,12 @@ struct ScanItem {
 
 }  // namespace
 
-ParallelScanResult parallel_safety_scan(const StateGraph& sg,
+ScanResult parallel_safety_scan(const StateGraph& sg,
                                         const std::vector<lang::Symbol>& labels,
                                         const omega::DetOmega& m,
                                         const std::vector<bool>& live, const Budget& budget,
                                         unsigned threads) {
-  ParallelScanResult res;
+  ScanResult res;
   res.worker_states.assign(threads, 0);
   res.worker_steals.assign(threads, 0);
   const std::size_t cap = budget.state_cap();

@@ -16,8 +16,10 @@
 
 namespace mph::fts::detail {
 
-/// Result of the parallel closed-prefix reachability scan.
-struct ParallelScanResult {
+/// Result of a closed-prefix reachability scan (the sequential one in
+/// checker.cpp or the parallel one below); the worker vectors are filled by
+/// the parallel scan only.
+struct ScanResult {
   Outcome outcome = Outcome::Complete;
   std::size_t product_states = 0;
   /// State-graph node path root..bad of a run driving det(spec) into a dead
@@ -33,7 +35,7 @@ struct ParallelScanResult {
 /// state cap is enforced at every intern (the reported count clamps to
 /// cap + 1, matching the sequential scan's stop point) and the deadline /
 /// cancellation is polled per worker.
-ParallelScanResult parallel_safety_scan(const StateGraph& sg,
+ScanResult parallel_safety_scan(const StateGraph& sg,
                                         const std::vector<lang::Symbol>& labels,
                                         const omega::DetOmega& m,
                                         const std::vector<bool>& live, const Budget& budget,

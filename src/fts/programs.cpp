@@ -184,8 +184,6 @@ Program dining_philosophers(std::size_t n) {
   return prog;
 }
 
-Program dining(std::size_t n) { return dining_philosophers(n); }
-
 Program ring_leader(std::size_t n) {
   MPH_REQUIRE(n >= 2 && n <= 10, "ring_leader supports 2..10 nodes");
   Program prog;

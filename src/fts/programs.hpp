@@ -44,10 +44,6 @@ Program producer_consumer(int capacity);
 /// Pick-up and eating transitions are weakly fair.
 Program dining_philosophers(std::size_t n);
 
-/// Alias of dining_philosophers: the parameterized "dining-N" scaling family
-/// used by mph-lint and the parallel benchmarks (docs/PARALLEL.md).
-Program dining(std::size_t n);
-
 /// Chang–Roberts leader election on a unidirectional ring of `n` nodes
 /// (2..10) with distinct ids 1..n, every node initiating. One-slot channels;
 /// a node drops smaller ids, forwards bigger ones (blocking while its

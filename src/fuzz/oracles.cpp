@@ -407,6 +407,12 @@ FuzzCase gen_fts_engines(Rng& rng) {
 /// iteration budget carries a cap of its own.
 constexpr std::size_t kFtsOracleStates = 20000;
 
+/// The iteration budget, capped at kFtsOracleStates unless it has a cap.
+Budget oracle_budget(Budget budget) {
+  if (!budget.has_state_cap()) budget.with_state_cap(kFtsOracleStates);
+  return budget;
+}
+
 /// Whether every fair computation of `sys` satisfies `spec`, decided by the
 /// materialized product and omega::find_good_loop; nullopt when the budget
 /// ran out (or the product needs more than 64 marks).
@@ -545,13 +551,10 @@ CheckOutcome check_fts_engines(const FuzzCase& c, const Budget& budget) {
   const fts::AtomMap atoms = c.system->atoms();
   const ltl::Formula spec = ltl::parse_formula(c.formulas[0]);
   fts::CheckOptions options;
-  options.max_states = kFtsOracleStates;  // seeds the budget's state cap unless it has one
-  options.budget = budget;
-  Budget ref_budget = budget;
-  if (!ref_budget.has_state_cap()) ref_budget.with_state_cap(kFtsOracleStates);
+  options.budget = oracle_budget(budget);
   const auto batch = fts::check_all(sys, {spec}, atoms, options)[0];
   const auto single = fts::check(sys, spec, atoms, options);
-  const auto reference = reference_holds(sys, spec, atoms, ref_budget);
+  const auto reference = reference_holds(sys, spec, atoms, options.budget);
   // Outcomes come first: under a deadline one side can complete while the
   // other runs out, so differing verdicts with a non-Complete outcome are
   // budget exhaustion, not a discrepancy.
@@ -595,19 +598,17 @@ CheckOutcome check_fts_engines_parallel(const FuzzCase& c, const Budget& budget)
   };
   std::vector<Leg> legs;
   Outcome agg = Outcome::Complete;
+  const Budget capped = oracle_budget(budget);
   for (bool dispatch : {false, true})
     for (unsigned threads : {1u, 3u}) {
       fts::CheckOptions options;
-      options.max_states = kFtsOracleStates;
-      options.budget = budget;
+      options.budget = capped;
       options.explore_threads = threads;
       options.class_dispatch = dispatch;
       legs.push_back({threads, dispatch, fts::check(sys, spec, atoms, options)});
       agg = worst(agg, legs.back().r.outcome);
     }
-  Budget ref_budget = budget;
-  if (!ref_budget.has_state_cap()) ref_budget.with_state_cap(kFtsOracleStates);
-  const auto reference = reference_holds(sys, spec, atoms, ref_budget);
+  const auto reference = reference_holds(sys, spec, atoms, capped);
   // Outcomes come first: under a deadline one run can complete while another
   // runs out, so differing verdicts with a non-Complete outcome are budget
   // exhaustion, not a discrepancy.
@@ -684,11 +685,10 @@ CheckOutcome check_vacuity_antecedent(const FuzzCase& c, const Budget& budget) {
   const fts::AtomMap atoms = c.system->atoms();
   const ltl::Formula f = ltl::parse_formula(c.formulas[0]);
   fts::CheckOptions base;
-  base.max_states = 20000;
-  base.budget = budget;
+  base.budget = oracle_budget(budget);
 
   // Path 1: the fast path itself — one exploration, pointwise labeling.
-  const auto fast = analysis::antecedent_exercised(sys, f, atoms, base.budget);
+  const auto fast = analysis::antecedent_exercised(sys, f, atoms, budget);
   if (!fast) return CheckOutcome::skip("shrunk out of the □(p→q) shape");
   if (!fast->complete())
     return CheckOutcome::exhausted("exploration budget exhausted (" +
@@ -818,8 +818,7 @@ CheckOutcome check_normalize_agreement(const FuzzCase& c, const Budget& budget) 
   const fts::Fts sys = c.system->build();
   const fts::AtomMap atoms = c.system->atoms();
   fts::CheckOptions raw;
-  raw.max_states = 20000;
-  raw.budget = budget;
+  raw.budget = oracle_budget(budget);
   raw.class_dispatch = false;
   raw.normalize_steps = 0;
   fts::CheckOptions dispatched = raw;
@@ -1090,8 +1089,7 @@ CheckOutcome check_absint_soundness(const FuzzCase& c, const Budget& budget) {
     return CheckOutcome::fail("static prover returned a non-holds certificate for '" +
                               c.formulas[0] + "'");
   fts::CheckOptions otf;
-  otf.max_states = 20000;  // seeds the budget's state cap unless it has one
-  otf.budget = budget;
+  otf.budget = oracle_budget(budget);
   const auto r_otf = fts::check_all(sys, {spec}, atoms, otf)[0];
   if (!is_complete(r_otf.outcome))
     return CheckOutcome::exhausted("engine budget exhausted (" +

@@ -231,7 +231,7 @@ ResolvedModel resolve_model(const Json& model) {
         return std::nullopt;
       return static_cast<std::size_t>(std::stoul(digits));
     };
-    if (auto n = family("dining-")) return from(fts::programs::dining(*n));
+    if (auto n = family("dining-")) return from(fts::programs::dining_philosophers(*n));
     if (auto n = family("ring-")) return from(fts::programs::ring_leader(*n));
     throw std::invalid_argument("unknown model '" + name + "'");
   }

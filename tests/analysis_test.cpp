@@ -554,8 +554,9 @@ TEST(SpecLint, TextFrontEndParsesAndLints) {
 TEST(CheckerDiagnostics, V002AndV003OnViolation) {
   auto prog = fts::programs::trivial_mutex();
   DiagnosticEngine e;
-  auto result = fts::check(prog.system, ltl::parse_formula("G(t1 -> F c1)"),
-                           prog.atoms, 200000, &e);
+  fts::CheckOptions options;
+  options.diagnostics = &e;
+  auto result = fts::check(prog.system, ltl::parse_formula("G(t1 -> F c1)"), prog.atoms, options);
   EXPECT_FALSE(result.holds);
   EXPECT_TRUE(e.has_code("MPH-V002")) << e.to_text();  // product-size note
   EXPECT_TRUE(e.has_code("MPH-V003")) << e.to_text();  // violation warning
@@ -565,8 +566,10 @@ TEST(CheckerDiagnostics, V002AndV003OnViolation) {
 TEST(CheckerDiagnostics, V001TableauFallback) {
   auto prog = fts::programs::peterson();
   DiagnosticEngine e;
-  auto result = fts::check(prog.system, ltl::parse_formula("F(t1 & X(!t1 & X t1))"),
-                           prog.atoms, 200000, &e);
+  fts::CheckOptions options;
+  options.diagnostics = &e;
+  auto result =
+      fts::check(prog.system, ltl::parse_formula("F(t1 & X(!t1 & X t1))"), prog.atoms, options);
   EXPECT_TRUE(e.has_code("MPH-V001")) << e.to_text();
   (void)result;
 }

@@ -68,7 +68,7 @@ std::optional<fts::programs::Program> make_model(const std::string& name) {
       return std::nullopt;
     return std::stoul(digits);
   };
-  if (auto n = family("dining-")) return fts::programs::dining(*n);
+  if (auto n = family("dining-")) return fts::programs::dining_philosophers(*n);
   if (auto n = family("ring-")) return fts::programs::ring_leader(*n);
   return std::nullopt;
 }
