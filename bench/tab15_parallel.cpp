@@ -73,7 +73,7 @@ Config explore_config(const std::string& name, Program prog) {
   return {"explore", name, "explore", [shared](unsigned threads) {
             fts::ExploreResult ex = fts::explore(shared->system, Budget(), threads);
             BENCH_CHECK(is_complete(ex.outcome), "exploration completes");
-            return Sample{"-", ex.graph.nodes.size(), "explore"};
+            return Sample{"-", ex.graph.size(), "explore"};
           }};
 }
 

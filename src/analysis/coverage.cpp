@@ -56,13 +56,11 @@ CoverageResult analyze_coverage(const fts::Fts& system, const std::vector<ltl::F
   }
 
   // A transition is reachable iff it is taken on some edge (stutter edges
-  // carry the pseudo-index -1 and do not count).
+  // carry StateGraph::kStutter and do not count).
   std::set<std::size_t> reachable;
-  for (const auto& edges : ex.graph.edges)
-    for (auto [target, t] : edges) {
-      (void)target;
-      if (t != static_cast<std::size_t>(-1)) reachable.insert(t);
-    }
+  for (std::size_t n = 0; n < ex.graph.size(); ++n)
+    for (const fts::StateGraph::Edge& e : ex.graph.edges(n))
+      if (e.transition != fts::StateGraph::kStutter) reachable.insert(e.transition);
 
   for (std::size_t t = 0; t < system.transition_count(); ++t) {
     TransitionCoverage tc;

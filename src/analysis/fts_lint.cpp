@@ -22,9 +22,9 @@ bool variable_read(const fts::Fts& sys, const fts::StateGraph& sg, std::size_t v
                    std::size_t max_probe_states) {
   const int lo = sys.var_lo(v), hi = sys.var_hi(v);
   if (lo == hi) return false;  // single-valued: nothing can depend on it
-  const std::size_t n_probe = std::min(sg.nodes.size(), max_probe_states);
+  const std::size_t n_probe = std::min(sg.size(), max_probe_states);
   for (std::size_t n = 0; n < n_probe; ++n) {
-    const fts::Valuation& s = sg.nodes[n].valuation;
+    const fts::Valuation s = sg.valuation(n);
     for (int d = lo; d <= hi; ++d) {
       if (d == s[v]) continue;
       fts::Valuation s2 = s;
@@ -76,7 +76,7 @@ void lint_fts(const fts::Fts& sys, std::string_view subject, DiagnosticEngine& o
       auto& d = out.emit("MPH-F007", subject,
                          "state-graph exploration failed; semantic lint is incomplete");
       d.witness = "budget exhausted (" + std::string(to_string(ex.outcome)) + ") after " +
-                  std::to_string(ex.graph.nodes.size()) + " state(s)";
+                  std::to_string(ex.graph.size()) + " state(s)";
       d.fix_hint = "raise the exploration limit or shrink variable domains";
       return;
     }
@@ -91,9 +91,9 @@ void lint_fts(const fts::Fts& sys, std::string_view subject, DiagnosticEngine& o
 
   // Per-transition enabledness over the reachable graph.
   std::vector<bool> ever_enabled(sys.transition_count(), false);
-  for (const auto& node_enabled : sg.enabled)
+  for (std::size_t n = 0; n < sg.size(); ++n)
     for (std::size_t t = 0; t < sys.transition_count(); ++t)
-      if (node_enabled[t]) ever_enabled[t] = true;
+      if (sg.enabled(n, t)) ever_enabled[t] = true;
   for (std::size_t t = 0; t < sys.transition_count(); ++t) {
     if (ever_enabled[t]) continue;
     {
@@ -119,8 +119,8 @@ void lint_fts(const fts::Fts& sys, std::string_view subject, DiagnosticEngine& o
   for (std::size_t v = 0; v < sys.var_count(); ++v) {
     bool constant = true;
     const int init = sys.initial_valuation()[v];
-    for (const auto& node : sg.nodes)
-      if (node.valuation[v] != init) {
+    for (std::size_t n = 0; n < sg.size(); ++n)
+      if (sg.value(n, v) != init) {
         constant = false;
         break;
       }
@@ -147,9 +147,9 @@ void lint_fts(const fts::Fts& sys, std::string_view subject, DiagnosticEngine& o
   // Deadlocks (stutter-only states).
   std::size_t n_deadlocked = 0;
   std::string first_witness;
-  for (std::size_t n = 0; n < sg.nodes.size(); ++n)
-    if (sg.stutters[n]) {
-      if (n_deadlocked == 0) first_witness = valuation_text(sys, sg.nodes[n].valuation);
+  for (std::size_t n = 0; n < sg.size(); ++n)
+    if (sg.stutters(n)) {
+      if (n_deadlocked == 0) first_witness = valuation_text(sys, sg.valuation(n));
       ++n_deadlocked;
     }
   if (n_deadlocked > 0) {

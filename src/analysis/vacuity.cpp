@@ -139,9 +139,12 @@ std::optional<Budgeted<bool>> antecedent_exercised(const fts::Fts& system,
     MPH_REQUIRE(atoms.contains(name), "antecedent atom not defined: " + name);
   fts::ExploreResult ex = fts::explore(system, budget);
   if (!is_complete(ex.outcome)) return Budgeted<bool>{std::nullopt, ex.outcome};
-  for (const auto& node : ex.graph.nodes)
-    if (eval_state(*p, system, atoms, node.valuation, node.last_taken))
+  fts::Valuation v;
+  for (std::size_t n = 0; n < ex.graph.size(); ++n) {
+    ex.graph.valuation_into(n, v);
+    if (eval_state(*p, system, atoms, v, ex.graph.last_taken(n)))
       return Budgeted<bool>{true, Outcome::Complete};
+  }
   return Budgeted<bool>{false, Outcome::Complete};
 }
 

@@ -166,18 +166,18 @@ FairnessFrame fairness_frame(const Fts& system) {
 
 /// Per-node fairness marks, computed once per state graph.
 std::vector<MarkSet> fair_node_marks(const StateGraph& sg, const FairnessFrame& fair) {
-  std::vector<MarkSet> out(sg.nodes.size(), 0);
-  for (std::size_t n = 0; n < sg.nodes.size(); ++n) {
+  std::vector<MarkSet> out(sg.size(), 0);
+  for (std::size_t n = 0; n < sg.size(); ++n) {
     MarkSet marks = 0;
     for (std::size_t i = 0; i < fair.weak.size(); ++i) {
-      bool ok = !sg.enabled[n][fair.weak[i]] ||
-                sg.nodes[n].last_taken == static_cast<int>(fair.weak[i]);
+      bool ok = !sg.enabled(n, fair.weak[i]) ||
+                sg.last_taken(n) == static_cast<int>(fair.weak[i]);
       if (ok) marks |= omega::mark_bit(static_cast<Mark>(i));
     }
     for (std::size_t i = 0; i < fair.strong.size(); ++i) {
-      if (sg.nodes[n].last_taken == static_cast<int>(fair.strong[i]))
+      if (sg.last_taken(n) == static_cast<int>(fair.strong[i]))
         marks |= omega::mark_bit(static_cast<Mark>(fair.weak.size() + 2 * i));
-      if (sg.enabled[n][fair.strong[i]])
+      if (sg.enabled(n, fair.strong[i]))
         marks |= omega::mark_bit(static_cast<Mark>(fair.weak.size() + 2 * i + 1));
     }
     out[n] = marks;
@@ -194,11 +194,13 @@ std::vector<lang::Symbol> label_nodes(const Fts& system, const StateGraph& sg,
   std::vector<const AtomFn*> fns;
   fns.reserve(atom_names.size());
   for (const auto& name : atom_names) fns.push_back(&atoms.at(name));
-  std::vector<lang::Symbol> labels(sg.nodes.size(), 0);
-  for (std::size_t n = 0; n < sg.nodes.size(); ++n)
+  std::vector<lang::Symbol> labels(sg.size(), 0);
+  Valuation v;
+  for (std::size_t n = 0; n < sg.size(); ++n) {
+    sg.valuation_into(n, v);
     for (std::size_t i = 0; i < fns.size(); ++i)
-      if ((*fns[i])(system, sg.nodes[n].valuation, sg.nodes[n].last_taken))
-        labels[n] |= lang::Symbol{1} << i;
+      if ((*fns[i])(system, v, sg.last_taken(n))) labels[n] |= lang::Symbol{1} << i;
+  }
   return labels;
 }
 
@@ -266,8 +268,8 @@ class ProductSearch {
         poll_budget();
         Frame& f = frames_.back();
         if (f.aut != f.aut_end) {
-          const auto& edges = sg_.edges[f.node];
-          const std::size_t target = edges[f.edge].first;
+          const auto edges = sg_.edges(f.node);
+          const std::size_t target = edges[f.edge].target;
           const omega::State q2 = *f.aut;
           if (++f.edge == edges.size()) {
             f.edge = 0;
@@ -351,7 +353,7 @@ class ProductSearch {
   void push(std::uint32_t pid) {
     const std::size_t n = node_of(pids_[pid]);
     auto succ = neg_.step(aut_of(pids_[pid]), labels_[n]);
-    const omega::State* end = sg_.edges[n].empty() ? succ.data() : succ.data() + succ.size();
+    const omega::State* end = sg_.edges(n).empty() ? succ.data() : succ.data() + succ.size();
     frames_.push_back({pid, static_cast<std::uint32_t>(n), succ.data(), end, 0});
     roots_.push_back({pid, marks_of(pid), false});
     live_.push_back(pid);
@@ -363,9 +365,8 @@ class ProductSearch {
     const std::uint64_t key = pids_[pid];
     const std::size_t n = node_of(key);
     for (omega::State q2 : neg_.step(aut_of(key), labels_[n]))
-      for (auto [target, t] : sg_.edges[n]) {
-        (void)t;
-        const std::size_t idx = pids_.find(pack(target, q2));
+      for (const StateGraph::Edge& e : sg_.edges(n)) {
+        const std::size_t idx = pids_.find(pack(e.target, q2));
         if (idx != pids_.npos) f(static_cast<std::uint32_t>(idx));
       }
   }
@@ -705,10 +706,8 @@ detail::ScanResult safety_scan(const StateGraph& sg, const std::vector<lang::Sym
         break;
       }
       const omega::State q2 = m.next(q, labels[n]);
-      for (auto [target, t] : sg.edges[n]) {
-        (void)t;
-        intern(target, q2, static_cast<std::int64_t>(p));
-      }
+      for (const StateGraph::Edge& e : sg.edges(n))
+        intern(e.target, q2, static_cast<std::int64_t>(p));
     }
   } catch (const BudgetExhausted& e) {
     res.outcome = e.outcome();
@@ -731,11 +730,11 @@ detail::ScanResult safety_scan(const StateGraph& sg, const std::vector<lang::Sym
 /// this prefix.
 NodeLasso extend_bad_prefix(const StateGraph& sg, std::vector<std::size_t> prefix) {
   NodeLasso lasso{std::move(prefix), {}};
-  std::vector<std::int64_t> seen_at(sg.nodes.size(), -1);
+  std::vector<std::int64_t> seen_at(sg.size(), -1);
   std::vector<std::size_t> walk{lasso.prefix.back()};
   seen_at[walk[0]] = 0;
   for (;;) {
-    const std::size_t next = sg.edges[walk.back()].front().first;
+    const std::size_t next = sg.edges(walk.back()).front().target;
     if (seen_at[next] >= 0) {
       // Computation: prefix ++ walk[1..] ++ (walk[j..])^ω where j is where
       // the walk re-entered itself.
@@ -803,7 +802,7 @@ CheckResult verdict(const StateGraph& sg, const Route& route, SearchResult found
                     const ltl::Formula& spec, analysis::DiagnosticEngine* diagnostics) {
   CheckResult result;
   CheckStats& s = result.stats;
-  s.state_graph_nodes = sg.nodes.size();
+  s.state_graph_nodes = sg.size();
   s.automaton_states = route.automaton_states();
   s.product_states = found.product_states;
   s.product_bound = s.state_graph_nodes * s.automaton_states;
@@ -821,8 +820,8 @@ CheckResult verdict(const StateGraph& sg, const Route& route, SearchResult found
   result.holds = complete && !found.violation;
   if (found.violation) {  // only a complete search finds one
     Counterexample cex;
-    for (std::size_t n : found.violation->prefix) cex.prefix.push_back(sg.nodes[n].valuation);
-    for (std::size_t n : found.violation->loop) cex.loop.push_back(sg.nodes[n].valuation);
+    for (std::size_t n : found.violation->prefix) cex.prefix.push_back(sg.valuation(n));
+    for (std::size_t n : found.violation->loop) cex.loop.push_back(sg.valuation(n));
     result.counterexample = std::move(cex);
   }
   if (!diagnostics) return result;
@@ -943,14 +942,14 @@ std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::For
       if (resolved[i]) continue;
       auto& r = results[i];
       r.outcome = r.stats.outcome = ex.outcome;
-      r.stats.state_graph_nodes = ex.graph.nodes.size();
+      r.stats.state_graph_nodes = ex.graph.size();
       r.stats.explore_seconds = explore_seconds;
     }
     if (options.diagnostics) {
       auto& d = options.diagnostics->emit(
           "MPH-V004", "state-graph exploration",
           "budget exhausted (" + std::string(to_string(ex.outcome)) + ") after " +
-              std::to_string(ex.graph.nodes.size()) +
+              std::to_string(ex.graph.size()) +
               " system state(s); every spec in the batch is unverified");
       d.fix_hint = "raise CheckOptions::budget (state cap / deadline) or shrink "
                    "variable domains";
@@ -958,7 +957,7 @@ std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::For
     return results;
   }
   const StateGraph& sg = ex.graph;
-  MPH_ASSERT(sg.nodes.size() < (std::uint64_t{1} << 32));  // product keys pack into 64 bits
+  MPH_ASSERT(sg.size() < (std::uint64_t{1} << 32));  // product keys pack into 64 bits
   FairnessFrame fair = fairness_frame(system);
   std::vector<MarkSet> fair_marks = fair_node_marks(sg, fair);
 

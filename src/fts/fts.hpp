@@ -9,9 +9,11 @@
 // formulae are plain state predicates, exactly as §4 assumes.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,6 +53,13 @@ class Fts {
   Valuation apply(std::size_t t, const Valuation& v) const;
 
  private:
+  friend class GraphBuilder;
+
+  /// Applies t's effect to v in place with apply()'s size and domain checks
+  /// but without re-evaluating the guard: explore() has just evaluated it,
+  /// and a value outside its domain would alias another packed state.
+  void step(std::size_t t, Valuation& v) const;
+
   struct Var {
     std::string name;
     int lo, hi;
@@ -67,22 +76,78 @@ class Fts {
   std::map<std::string, std::size_t, std::less<>> var_index_;
 };
 
-/// Explicit state graph of an Fts. Node 0 is initial (with no transition
-/// taken yet, last_taken = kNone).
-struct StateGraph {
+/// Explicit state graph of an Fts in one flat, packed layout. Node 0 is
+/// initial (no transition taken yet, last_taken = kNone); ids are BFS
+/// discovery order.
+///   - Nodes are packed rows of words() 64-bit words. Variable v owns a
+///     fixed bit field of ⌈log₂(hi−lo+1)⌉ bits holding value − lo; a field
+///     never straddles a word, and a single-valued variable takes no bits.
+///     The transition just taken is one more field after the variables
+///     (last_taken + 1), so a row is the node's whole identity.
+///   - Successors are a CSR: edges(n) is a span into one edge array, in
+///     transition order. A terminal node's only edge is the stutter
+///     self-loop {n, kStutter}.
+///   - Enabledness is ⌈T/64⌉ bit words per node for T transitions, and the
+///     stutter flag is one byte per node.
+/// Built only by explore(); see docs/CHECKER.md, phase 1.
+class StateGraph {
+ public:
   static constexpr int kNone = -1;
+  /// Transition slot of the stutter self-loop.
+  static constexpr std::uint32_t kStutter = ~std::uint32_t{0};
 
-  struct Node {
-    Valuation valuation;
-    int last_taken;  // transition index, or kNone
+  struct Edge {
+    std::uint32_t target;
+    std::uint32_t transition;  // transition index, or kStutter
+    friend bool operator==(const Edge&, const Edge&) = default;
   };
-  std::vector<Node> nodes;
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> edges;  // (target, transition)
-  /// Per node: which transitions are enabled (bitmask would cap at 64; use
-  /// a vector of flags for generality).
-  std::vector<std::vector<bool>> enabled;
+
+  std::size_t size() const { return stutter_.size(); }
+  /// Value of variable v at node n.
+  int value(std::size_t n, std::size_t v) const { return read(n, fields_[v]); }
+  /// Unpacks node n's valuation into out (resized to the variable count;
+  /// no allocation once out has the capacity).
+  void valuation_into(std::size_t n, Valuation& out) const;
+  Valuation valuation(std::size_t n) const;
+  int last_taken(std::size_t n) const { return read(n, last_field_); }
+  std::span<const Edge> edges(std::size_t n) const {
+    return {edges_.data() + offsets_[n], offsets_[n + 1] - offsets_[n]};
+  }
+  bool enabled(std::size_t n, std::size_t t) const {
+    return (enabled_[n * enabled_words_ + (t >> 6)] >> (t & 63)) & 1;
+  }
   /// Whether the node's only step is the stutter self-loop.
-  std::vector<bool> stutters;
+  bool stutters(std::size_t n) const { return stutter_[n] != 0; }
+  /// 64-bit words per packed row.
+  std::size_t words() const { return words_; }
+
+  friend bool operator==(const StateGraph&, const StateGraph&) = default;
+
+ private:
+  friend class GraphBuilder;
+
+  /// Where a variable, or the last-taken transition, lives in a row:
+  /// (row[word] >> shift) & mask is value − lo.
+  struct Field {
+    std::uint32_t word = 0, shift = 0;
+    std::uint64_t mask = 0;
+    std::int64_t lo = 0;
+    friend bool operator==(const Field&, const Field&) = default;
+  };
+  int read(std::size_t n, const Field& f) const {
+    return static_cast<int>(
+        f.lo + static_cast<std::int64_t>((rows_[n * words_ + f.word] >> f.shift) & f.mask));
+  }
+
+  std::vector<Field> fields_;
+  Field last_field_;  // lo = kNone
+  std::size_t words_ = 1;
+  std::size_t enabled_words_ = 0;
+  std::vector<std::uint64_t> rows_;         // size() × words_
+  std::vector<std::size_t> offsets_ = {0};  // size() + 1
+  std::vector<Edge> edges_;
+  std::vector<std::uint64_t> enabled_;      // size() × enabled_words_
+  std::vector<std::uint8_t> stutter_;       // size()
 };
 
 /// Telemetry from one exploration (docs/PARALLEL.md). The per-worker
@@ -94,9 +159,9 @@ struct ExploreStats {
 };
 
 /// A possibly-partial exploration. When `outcome` is not Complete the graph
-/// stopped mid-BFS: already-discovered nodes may still have empty `edges` /
-/// `enabled` rows, so the graph is NOT suitable for checking — consumers
-/// must consult `outcome` before using it.
+/// stopped mid-BFS: already-discovered nodes may still have no edges and an
+/// all-clear enabled row, so the graph is NOT suitable for checking —
+/// consumers must consult `outcome` before using it.
 struct ExploreResult {
   StateGraph graph;
   Outcome outcome = Outcome::Complete;

@@ -89,9 +89,8 @@ ScanResult parallel_safety_scan(const StateGraph& sg,
         }
         res.worker_states[w]++;
         const omega::State q2 = m.next(item.q, labels[item.node]);
-        for (auto [target, t] : sg.edges[item.node]) {
-          (void)t;
-          const std::uint64_t key = pack(target, q2);
+        for (const StateGraph::Edge& e : sg.edges(item.node)) {
+          const std::uint64_t key = pack(e.target, q2);
           auto [gid, fresh] = pids.intern(key, [&](std::uint32_t g) {
             keys.at(g).store(key, std::memory_order_relaxed);
             parents.at(g).store(static_cast<std::int64_t>(item.pid),
@@ -102,7 +101,7 @@ ScanResult parallel_safety_scan(const StateGraph& sg,
             record_exhausted(Outcome::BudgetStates);
             break;
           }
-          queues.push(w, ScanItem{gid, static_cast<std::uint32_t>(target), q2});
+          queues.push(w, ScanItem{gid, e.target, q2});
         }
         queues.done();
       }

@@ -30,20 +30,19 @@ RuleResult verify_invariance_with(const Fts& system, const Assertion& goal,
   if (!is_complete(ex.outcome)) return exhausted(ex.outcome);
   StateGraph g = std::move(ex.graph);
   // Premise I0: aux implies goal everywhere reachable.
-  for (const auto& node : g.nodes)
-    if (aux(node.valuation) && !goal(node.valuation))
-      return {false, "I0: strengthening does not imply the goal", node.valuation};
+  for (std::size_t n = 0; n < g.size(); ++n) {
+    const Valuation v = g.valuation(n);
+    if (aux(v) && !goal(v)) return {false, "I0: strengthening does not imply the goal", v};
+  }
   // Premise I1: initially.
   if (!aux(system.initial_valuation()))
     return {false, "I1: assertion fails initially", system.initial_valuation()};
   // Premise I2: preservation over every reachable aux-state.
-  for (std::size_t n = 0; n < g.nodes.size(); ++n) {
-    if (!aux(g.nodes[n].valuation)) continue;
-    for (auto [target, t] : g.edges[n]) {
-      (void)t;
-      if (!aux(g.nodes[target].valuation))
-        return {false, "I2: assertion not preserved by transition", g.nodes[n].valuation};
-    }
+  for (std::size_t n = 0; n < g.size(); ++n) {
+    if (!aux(g.valuation(n))) continue;
+    for (const StateGraph::Edge& e : g.edges(n))
+      if (!aux(g.valuation(e.target)))
+        return {false, "I2: assertion not preserved by transition", g.valuation(n)};
   }
   return {true, "", std::nullopt};
 }
@@ -68,7 +67,7 @@ RuleResult verify_response(const Fts& system, const Assertion& p, const Assertio
     return it->second;
   };
   auto pending_of = [&](std::size_t n, bool prev_pending) {
-    const Valuation& v = g.nodes[n].valuation;
+    const Valuation v = g.valuation(n);
     return !q(v) && (prev_pending || p(v));
   };
   std::deque<std::size_t> queue{
@@ -82,7 +81,7 @@ RuleResult verify_response(const Fts& system, const Assertion& p, const Assertio
     if (seen[i]) continue;
     seen[i] = true;
     const auto [n, pend] = pnodes[i];
-    const Valuation& v = g.nodes[n].valuation;
+    const Valuation v = g.valuation(n);
     if (pend) {
       const int r = rank(v);
       if (r < 0) return {false, "R1: rank negative on a pending state", v};
@@ -97,11 +96,11 @@ RuleResult verify_response(const Fts& system, const Assertion& p, const Assertio
       if (system.transition_fairness(h) == Fairness::None)
         return {false, "R4: helpful transition is not fair", v};
       // R3: helpful enabled, and strictly decreasing (or achieving q).
-      if (!g.enabled[n][h])
+      if (!g.enabled(n, h))
         return {false, "R3: helpful transition disabled on a pending state", v};
       bool helpful_ok = false;
-      for (auto [target, t] : g.edges[n]) {
-        const Valuation& tv = g.nodes[target].valuation;
+      for (auto [target, t] : g.edges(n)) {
+        const Valuation tv = g.valuation(target);
         if (t == h) helpful_ok = q(tv) || rank(tv) < r;
         // R2: no step increases the rank while the obligation persists.
         if (!q(tv) && rank(tv) > r)
@@ -110,9 +109,8 @@ RuleResult verify_response(const Fts& system, const Assertion& p, const Assertio
       if (!helpful_ok)
         return {false, "R3: helpful transition does not decrease the rank", v};
     }
-    for (auto [target, t] : g.edges[n]) {
-      (void)t;
-      std::size_t j = intern(target, pending_of(target, pend));
+    for (const StateGraph::Edge& e : g.edges(n)) {
+      std::size_t j = intern(e.target, pending_of(e.target, pend));
       queue.push_back(j);
     }
   }

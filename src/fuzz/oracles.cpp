@@ -10,6 +10,7 @@
 #include "src/core/operator_forms.hpp"
 #include "src/fts/checker.hpp"
 #include "src/fuzz/generators.hpp"
+#include "src/fuzz/reference_graph.hpp"
 #include "src/lang/dfa_ops.hpp"
 #include "src/lang/random_lang.hpp"
 #include "src/ltl/eval.hpp"
@@ -378,10 +379,12 @@ CheckOutcome check_ltl_eval(const FuzzCase& c, const Budget& budget) {
 // ------------------------------------------------------------------------
 // fts-engines: the checker against an independent reference on the same
 // system and spec, with counterexamples replayed under the independent lasso
-// evaluator. The reference shares none of the checker's search: it derives
-// the fairness marks straight from the Fts API, materializes the whole
-// reachable (node × ¬spec) product as a MarkedGraph, and asks the offline
-// good-loop search in src/omega.
+// evaluator. The reference shares none of the checker's exploration or
+// search: it builds the state graph with its own naive explorer (checked
+// node-for-node against fts::explore first), derives the fairness marks
+// straight from the Fts API, materializes the whole reachable (node × ¬spec)
+// product as a MarkedGraph, and asks the offline good-loop search in
+// src/omega.
 
 FuzzCase gen_fts_engines(Rng& rng) {
   FuzzCase c;
@@ -413,20 +416,44 @@ Budget oracle_budget(Budget budget) {
   return budget;
 }
 
-/// Whether every fair computation of `sys` satisfies `spec`, decided by the
-/// materialized product and omega::find_good_loop; nullopt when the budget
-/// ran out (or the product needs more than 64 marks).
-std::optional<bool> reference_holds(const fts::Fts& sys, const ltl::Formula& spec,
-                                    const fts::AtomMap& atoms, const Budget& budget) {
+/// The naive reference graph of sys, after checking fts::explore on each of
+/// `threads` against it node-for-node. `ref` stays empty when either side
+/// ran out of budget; a failure names the first difference.
+std::optional<CheckOutcome> explore_against_reference(const fts::Fts& sys,
+                                                      const Budget& budget,
+                                                      std::initializer_list<unsigned> threads,
+                                                      std::optional<ReferenceGraph>& ref) {
+  ref = reference_explore(sys, budget);
+  if (!ref) return std::nullopt;
+  for (unsigned n : threads) {
+    const fts::ExploreResult ex = fts::explore(sys, budget, n);
+    if (!is_complete(ex.outcome)) {
+      ref.reset();
+      return std::nullopt;
+    }
+    if (auto why = graph_mismatch(sys, *ref, ex.graph))
+      return CheckOutcome::fail("explore on " + std::to_string(n) +
+                                " thread(s) and the reference explorer disagree: " + *why);
+  }
+  return std::nullopt;
+}
+
+/// Whether every fair computation of `sys` satisfies `spec`, decided on the
+/// reference graph by the materialized product and omega::find_good_loop;
+/// nullopt when there is no graph, the budget ran out, or the product needs
+/// more than 64 marks.
+std::optional<bool> reference_holds(const fts::Fts& sys,
+                                    const std::optional<ReferenceGraph>& graph,
+                                    const ltl::Formula& spec, const fts::AtomMap& atoms,
+                                    const Budget& budget) {
   using omega::Acceptance;
   using omega::MarkSet;
-  const fts::ExploreResult ex = fts::explore(sys, budget);
-  if (!is_complete(ex.outcome)) return std::nullopt;
-  const fts::StateGraph& sg = ex.graph;
+  if (!graph) return std::nullopt;
+  const std::vector<ReferenceGraph::Node>& nodes = graph->nodes;
 
   // Fairness per transition: weak — Inf("disabled or just taken"); strong —
   // Inf(taken) ∨ Fin(enabled).
-  std::vector<MarkSet> fair(sg.nodes.size(), 0);
+  std::vector<MarkSet> fair(nodes.size(), 0);
   Acceptance acc = Acceptance::t();
   omega::Mark marks = 0;
   for (std::size_t t = 0; t < sys.transition_count(); ++t) {
@@ -440,9 +467,9 @@ std::optional<bool> reference_holds(const fts::Fts& sys, const ltl::Formula& spe
                                ? Acceptance::inf(taken)
                                : Acceptance::disj(Acceptance::inf(taken),
                                                   Acceptance::fin(enabled)));
-    for (std::size_t n = 0; n < sg.nodes.size(); ++n) {
-      const bool is_taken = sg.nodes[n].last_taken == static_cast<int>(t);
-      const bool is_enabled = sys.enabled(t, sg.nodes[n].valuation);
+    for (std::size_t n = 0; n < nodes.size(); ++n) {
+      const bool is_taken = nodes[n].last_taken == static_cast<int>(t);
+      const bool is_enabled = sys.enabled(t, nodes[n].valuation);
       if (kind == fts::Fairness::Weak && (is_taken || !is_enabled))
         fair[n] |= omega::mark_bit(taken);
       if (kind == fts::Fairness::Strong) {
@@ -454,10 +481,10 @@ std::optional<bool> reference_holds(const fts::Fts& sys, const ltl::Formula& spe
 
   const auto names = spec.atoms();
   const lang::Alphabet sigma = lang::Alphabet::of_props(names);
-  std::vector<lang::Symbol> label(sg.nodes.size(), 0);
-  for (std::size_t n = 0; n < sg.nodes.size(); ++n)
+  std::vector<lang::Symbol> label(nodes.size(), 0);
+  for (std::size_t n = 0; n < nodes.size(); ++n)
     for (std::size_t i = 0; i < names.size(); ++i)
-      if (atoms.at(names[i])(sys, sg.nodes[n].valuation, sg.nodes[n].last_taken))
+      if (atoms.at(names[i])(sys, nodes[n].valuation, nodes[n].last_taken))
         label[n] |= lang::Symbol{1} << i;
 
   // ¬spec: deterministic when it lies in the hierarchy fragment, else the
@@ -506,7 +533,7 @@ std::optional<bool> reference_holds(const fts::Fts& sys, const ltl::Formula& spe
     const auto [n, q] = pairs[p];
     std::vector<omega::State> succ;
     for (omega::State q2 : step(q, label[n]))
-      for (auto [target, t] : sg.edges[n]) {
+      for (auto [target, t] : nodes[n].edges) {
         (void)t;
         succ.push_back(intern(target, q2) + 1);
       }
@@ -554,7 +581,9 @@ CheckOutcome check_fts_engines(const FuzzCase& c, const Budget& budget) {
   options.budget = oracle_budget(budget);
   const auto batch = fts::check_all(sys, {spec}, atoms, options)[0];
   const auto single = fts::check(sys, spec, atoms, options);
-  const auto reference = reference_holds(sys, spec, atoms, options.budget);
+  std::optional<ReferenceGraph> graph;
+  if (auto failed = explore_against_reference(sys, options.budget, {1}, graph)) return *failed;
+  const auto reference = reference_holds(sys, graph, spec, atoms, options.budget);
   // Outcomes come first: under a deadline one side can complete while the
   // other runs out, so differing verdicts with a non-Complete outcome are
   // budget exhaustion, not a discrepancy.
@@ -578,7 +607,8 @@ CheckOutcome check_fts_engines(const FuzzCase& c, const Budget& budget) {
 // fts-engines-parallel: the checker at explore_threads 1 and 3 (parallel
 // exploration and the parallel safety scan, docs/PARALLEL.md), each with
 // class dispatch off and on, against the same materialized reference, with
-// every counterexample replayed under the independent lasso evaluator.
+// every counterexample replayed under the independent lasso evaluator. Both
+// explorers are first checked node-for-node against the reference graph.
 
 FuzzCase gen_fts_engines_parallel(Rng& rng) {
   FuzzCase c = gen_fts_engines(rng);
@@ -608,7 +638,9 @@ CheckOutcome check_fts_engines_parallel(const FuzzCase& c, const Budget& budget)
       legs.push_back({threads, dispatch, fts::check(sys, spec, atoms, options)});
       agg = worst(agg, legs.back().r.outcome);
     }
-  const auto reference = reference_holds(sys, spec, atoms, capped);
+  std::optional<ReferenceGraph> graph;
+  if (auto failed = explore_against_reference(sys, capped, {1, 3}, graph)) return *failed;
+  const auto reference = reference_holds(sys, graph, spec, atoms, capped);
   // Outcomes come first: under a deadline one run can complete while another
   // runs out, so differing verdicts with a non-Complete outcome are budget
   // exhaustion, not a discrepancy.
@@ -1058,20 +1090,20 @@ CheckOutcome check_absint_soundness(const FuzzCase& c, const Budget& budget) {
     return CheckOutcome::exhausted("exploration budget exhausted (" +
                                    std::string(to_string(ex.outcome)) + ")");
   // Leg 1: the box invariant contains every reachable valuation.
-  for (const auto& node : ex.graph.nodes)
+  for (std::size_t n = 0; n < ex.graph.size(); ++n)
     for (std::size_t v = 0; v < ar.invariants.size(); ++v)
-      if (!ar.invariants[v].inv.contains(node.valuation[v]))
+      if (!ar.invariants[v].inv.contains(ex.graph.value(n, v)))
         return CheckOutcome::fail(
             "reachable valuation escapes the box invariant: " + ar.invariants[v].name +
-            "=" + std::to_string(node.valuation[v]) + " outside [" +
+            "=" + std::to_string(ex.graph.value(n, v)) + " outside [" +
             std::to_string(ar.invariants[v].inv.lo) + ", " +
             std::to_string(ar.invariants[v].inv.hi) + "]");
   if (auto gate = budget_gate(budget)) return *gate;
   // Leg 2: MPH-F010 transitions are never enabled in any reachable state.
   for (std::size_t t = 0; t < ar.transitions.size(); ++t) {
     if (!ar.transitions[t].dead) continue;
-    for (std::size_t n = 0; n < ex.graph.nodes.size(); ++n)
-      if (t < ex.graph.enabled[n].size() && ex.graph.enabled[n][t])
+    for (std::size_t n = 0; n < ex.graph.size(); ++n)
+      if (t < sys.transition_count() && ex.graph.enabled(n, t))
         return CheckOutcome::fail("transition '" + ar.transitions[t].name +
                                   "' is abstractly dead (MPH-F010) but concretely "
                                   "enabled in a reachable state");
@@ -1126,8 +1158,9 @@ std::vector<Oracle>& mutable_registry() {
        "direct LTL lasso evaluation vs the compiled deterministic automaton",
        gen_ltl_eval, check_ltl_eval},
       {"fts-engines",
-       "model checker vs a materialized product decided by omega::find_good_loop, "
-       "with counterexample replay",
+       "explore vs a naive reference explorer node-for-node, then the model checker "
+       "vs a materialized product decided by omega::find_good_loop, with "
+       "counterexample replay",
        gen_fts_engines, check_fts_engines},
       {"fts-engines-parallel",
        "explore_threads 1 and 3, class dispatch off and on, vs the materialized "

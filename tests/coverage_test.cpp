@@ -149,7 +149,7 @@ TEST(ExploreGuards, MaxStatesEnforced) {
   auto prog = fts::programs::dining_philosophers(3);
   fts::ExploreResult ex = fts::explore(prog.system, Budget().with_state_cap(3));
   EXPECT_EQ(ex.outcome, Outcome::BudgetStates);
-  EXPECT_EQ(ex.graph.nodes.size(), 3u);
+  EXPECT_EQ(ex.graph.size(), 3u);
 }
 
 TEST(StreettPairsGuards, Validation) {

@@ -42,10 +42,9 @@ TEST(Checker, DeadlockedAtomMatchesStutterStates) {
   StateGraph g = std::move(explore(prog.system, Budget()).graph);
   auto dead = deadlocked();
   bool found_deadlock = false;
-  for (std::size_t n = 0; n < g.nodes.size(); ++n) {
-    EXPECT_EQ(g.stutters[n],
-              dead(prog.system, g.nodes[n].valuation, g.nodes[n].last_taken));
-    found_deadlock = found_deadlock || g.stutters[n];
+  for (std::size_t n = 0; n < g.size(); ++n) {
+    EXPECT_EQ(g.stutters(n), dead(prog.system, g.valuation(n), g.last_taken(n)));
+    found_deadlock = found_deadlock || g.stutters(n);
   }
   EXPECT_TRUE(found_deadlock);
 }

@@ -25,12 +25,12 @@ TEST(Fts, BasicConstructionAndExploration) {
   StateGraph g = std::move(res.graph);
   // States: x=0..3, each reached with last_taken ∈ {none, inc}.
   // 0 is initial-only; 1..3 via inc → 4 nodes.
-  EXPECT_EQ(g.nodes.size(), 4u);
+  EXPECT_EQ(g.size(), 4u);
   // Terminal x=3 stutters.
   bool terminal_found = false;
-  for (std::size_t n = 0; n < g.nodes.size(); ++n)
-    if (g.nodes[n].valuation[x] == 3) {
-      EXPECT_TRUE(g.stutters[n]);
+  for (std::size_t n = 0; n < g.size(); ++n)
+    if (g.value(n, x) == 3) {
+      EXPECT_TRUE(g.stutters(n));
       terminal_found = true;
     }
   EXPECT_TRUE(terminal_found);

@@ -6,6 +6,7 @@
 // the parallel exploration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "src/analysis/diagnostics.hpp"
@@ -19,14 +20,15 @@ namespace {
 using programs::Program;
 
 void expect_graphs_identical(const StateGraph& a, const StateGraph& b) {
-  ASSERT_EQ(a.nodes.size(), b.nodes.size());
-  for (std::size_t n = 0; n < a.nodes.size(); ++n) {
-    EXPECT_EQ(a.nodes[n].valuation, b.nodes[n].valuation) << "node " << n;
-    EXPECT_EQ(a.nodes[n].last_taken, b.nodes[n].last_taken) << "node " << n;
-    EXPECT_EQ(a.edges[n], b.edges[n]) << "node " << n;
-    EXPECT_EQ(a.enabled[n], b.enabled[n]) << "node " << n;
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t n = 0; n < a.size(); ++n) {
+    EXPECT_EQ(a.valuation(n), b.valuation(n)) << "node " << n;
+    EXPECT_EQ(a.last_taken(n), b.last_taken(n)) << "node " << n;
+    EXPECT_TRUE(std::ranges::equal(a.edges(n), b.edges(n))) << "node " << n;
+    EXPECT_EQ(a.stutters(n), b.stutters(n)) << "node " << n;
   }
-  EXPECT_EQ(a.stutters, b.stutters);
+  // Field for field: packed rows, CSR offsets and enabled bit rows too.
+  EXPECT_TRUE(a == b);
 }
 
 TEST(ParallelExplore, GraphIdenticalToSequential) {
@@ -44,7 +46,7 @@ TEST(ParallelExplore, GraphIdenticalToSequential) {
       const std::size_t expanded = std::accumulate(par.stats.worker_nodes.begin(),
                                                    par.stats.worker_nodes.end(),
                                                    std::size_t{0});
-      EXPECT_EQ(expanded, par.graph.nodes.size());
+      EXPECT_EQ(expanded, par.graph.size());
       expect_graphs_identical(seq.graph, par.graph);
     }
   }
@@ -68,11 +70,11 @@ TEST(ParallelExplore, StateCapParityWithSequential) {
     EXPECT_EQ(par.outcome, Outcome::BudgetStates);
     // Both stop at exactly the cap's node count — the budget contract is
     // thread-count independent even though the partial frontiers differ.
-    EXPECT_EQ(par.graph.nodes.size(), seq.graph.nodes.size());
-    EXPECT_EQ(par.graph.nodes.size(), cap);
+    EXPECT_EQ(par.graph.size(), seq.graph.size());
+    EXPECT_EQ(par.graph.size(), cap);
     // Every discovered node carries its valuation (edge rows may be empty).
-    for (const auto& node : par.graph.nodes)
-      EXPECT_EQ(node.valuation.size(), prog.system.var_count());
+    for (std::size_t n = 0; n < par.graph.size(); ++n)
+      EXPECT_EQ(par.graph.valuation(n).size(), prog.system.var_count());
   }
 }
 

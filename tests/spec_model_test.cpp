@@ -20,7 +20,7 @@ std::set<Valuation> reachable(const FtsSpec& spec) {
   const ExploreResult ex = explore(spec.build(), Budget().with_state_cap(10000));
   EXPECT_EQ(ex.outcome, Outcome::Complete);
   std::set<Valuation> states;
-  for (const auto& node : ex.graph.nodes) states.insert(node.valuation);
+  for (std::size_t n = 0; n < ex.graph.size(); ++n) states.insert(ex.graph.valuation(n));
   return states;
 }
 
