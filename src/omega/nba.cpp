@@ -440,18 +440,11 @@ Nba intersect_with_cobuchi(const Nba& n, const DetOmega& d) {
   return out;
 }
 
-namespace {
-
-/// The NFA whose determinization is Pref(L(n)): NBA states marked accepting
-/// iff live (an accepting continuation exists), plus a fresh initial state
-/// with ε-edges to all NBA initial states. Only valid for state_count > 0.
 lang::Nfa pref_skeleton(const Nba& n) {
+  MPH_REQUIRE(n.state_count() > 0, "pref_skeleton needs at least one state");
   auto live = detail::nba_live(n);
-  // Subset construction; a subset is accepting iff it contains a live state.
   lang::Nfa skeleton(n.alphabet());
   for (State q = 1; q < n.state_count(); ++q) skeleton.add_state();
-  // Mark live states accepting, copy edges; add a fresh initial state with
-  // ε-edges to all NBA initial states.
   for (State q = 0; q < n.state_count(); ++q) {
     skeleton.set_accepting(q, live[q]);
     for (auto [s, t] : n.edges(q)) skeleton.add_edge(q, s, t);
@@ -461,8 +454,6 @@ lang::Nfa pref_skeleton(const Nba& n) {
   for (State q : n.initial_states()) skeleton.add_epsilon(fresh, q);
   return skeleton;
 }
-
-}  // namespace
 
 lang::Dfa pref(const Nba& n) {
   if (n.state_count() == 0) return lang::Dfa(n.alphabet(), 1, 0);

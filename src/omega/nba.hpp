@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/lang/dfa.hpp"
+#include "src/lang/nfa.hpp"
 #include "src/omega/det_omega.hpp"
 #include "src/support/budget.hpp"
 
@@ -53,8 +54,13 @@ Nba to_nba(const DetOmega& m);
 /// in core: right side must have acceptance Fin(m) or t.
 Nba intersect_with_cobuchi(const Nba& n, const DetOmega& d);
 
-/// Pref(L(n)) as a DFA (subset construction over states that still admit an
-/// accepting continuation).
+/// The NFA whose determinization is Pref(L(n)): n's states and edges, each
+/// state accepting iff an accepting continuation exists from it, plus a
+/// fresh initial state with ε-edges to n's initial states. Requires
+/// state_count() > 0.
+lang::Nfa pref_skeleton(const Nba& n);
+
+/// Pref(L(n)) as a DFA: minimize(determinize(pref_skeleton(n))).
 lang::Dfa pref(const Nba& n);
 
 /// Budget-governed Pref: the state cap bounds the subsets materialized and
