@@ -8,7 +8,8 @@
 //      must come back with an *exact* class through the Büchi closure
 //      tests (ExactClass::Source::NbaSemantics), the acceptance criterion
 //      of the complementation work;
-//   3. timing: per-query decision latency, plus google-benchmark micro
+//   3. cost: per-query decision latency and wall time, interned product
+//      states and complement macrostates, plus google-benchmark micro
 //      sections for complementation (forced-rank vs auto) and inclusion.
 // Results land in BENCH_inclusion.json (`ctest -L bench-smoke`).
 //
@@ -88,7 +89,12 @@ struct InclusionRow {
   std::string forward, reverse;  // verdicts as strings
   bool agree = false;
   double forward_us = 0, reverse_us = 0;
+  /// Per-query cost, both directions together: interned product states and
+  /// complement macrostates (an Unknown direction contributes 0 to both),
+  /// and the wall time of the two tableaux plus both inclusion runs.
   std::size_t product_states = 0;
+  std::size_t complement_macrostates = 0;
+  double wall_ms = 0;
   std::size_t ncsb_parts = 0, rank_parts = 0;
 };
 
@@ -124,6 +130,8 @@ void write_json(const std::string& path, bool quick, const std::vector<Inclusion
         << "\", \"agree\": " << json_bool(r.agree) << ", \"forward_us\": " << r.forward_us
         << ", \"reverse_us\": " << r.reverse_us
         << ", \"product_states\": " << r.product_states
+        << ", \"complement_macrostates\": " << r.complement_macrostates
+        << ", \"wall_ms\": " << r.wall_ms
         << ", \"ncsb_parts\": " << r.ncsb_parts << ", \"rank_parts\": " << r.rank_parts
         << "}" << (i + 1 < inc.size() ? "," : "") << "\n";
   }
@@ -205,6 +213,7 @@ int main(int argc, char** argv) {
   std::vector<InclusionRow> inclusion;
   bool inclusion_agreement = true;
   for (const Query& q : kQueries) {
+    const auto query_start = std::chrono::steady_clock::now();
     const ltl::Formula fs = ltl::parse_formula(q.stronger);
     const ltl::Formula fw = ltl::parse_formula(q.weaker);
     const lang::Alphabet sigma = joint_alphabet(fs, fw);
@@ -223,9 +232,11 @@ int main(int argc, char** argv) {
     t0 = std::chrono::steady_clock::now();
     const auto rev = omega::included(nb, na, io);
     row.reverse_us = micros_of(t0);
+    row.wall_ms = micros_of(query_start) / 1000.0;
     row.forward = std::string(omega::to_string(fwd.verdict));
     row.reverse = std::string(omega::to_string(rev.verdict));
     row.product_states = fwd.product_states + rev.product_states;
+    row.complement_macrostates = fwd.complement.macrostates + rev.complement.macrostates;
     row.ncsb_parts = fwd.complement.ncsb_parts + rev.complement.ncsb_parts;
     row.rank_parts = fwd.complement.rank_parts + rev.complement.rank_parts;
     row.agree = fwd.verdict == q.forward && rev.verdict == q.reverse;

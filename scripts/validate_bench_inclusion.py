@@ -16,6 +16,8 @@ contracts (docs/COMPLEMENT.md):
     under the bench cap), and unknown appears on a reverse direction only
     where the ground truth *expects* the refusal (the rescue-family query,
     whose rank-based complement overruns the cap — row["agree"] pins it);
+  * every query row reports its cost: wall_ms, product_states and
+    complement_macrostates (both directions together);
   * the MPH-N003 rescue family: every row has source "nba", a refused
     normalizer, and agree — and the summary counts at least one formula
     whose exact class was established by the Büchi closure tests, the
@@ -63,10 +65,10 @@ def main():
         require(row["forward"] != "unknown",
                 f"{where}: forward direction is unknown on a tiny battery query")
         require(row.get("agree") is True, f"{where}: verdicts disagree with ground truth")
-        for key in ("forward_us", "reverse_us"):
+        for key in ("forward_us", "reverse_us", "wall_ms"):
             require(isinstance(row.get(key), (int, float)) and row[key] >= 0,
                     f"{where}: '{key}' missing or negative")
-        for key in ("product_states", "ncsb_parts", "rank_parts"):
+        for key in ("product_states", "complement_macrostates", "ncsb_parts", "rank_parts"):
             require(isinstance(row.get(key), int) and row[key] >= 0,
                     f"{where}: '{key}' missing or negative")
 

@@ -10,6 +10,7 @@
 #include "src/core/operator_forms.hpp"
 #include "src/fts/checker.hpp"
 #include "src/fuzz/generators.hpp"
+#include "src/fuzz/reference_determinize.hpp"
 #include "src/fuzz/reference_graph.hpp"
 #include "src/lang/dfa_ops.hpp"
 #include "src/lang/random_lang.hpp"
@@ -40,6 +41,16 @@ std::optional<CheckOutcome> budget_gate(const Budget& budget) {
   return std::nullopt;
 }
 
+/// State cap for the checker runs, the reference product and the subset
+/// constructions, unless the iteration budget carries a cap of its own.
+constexpr std::size_t kFtsOracleStates = 20000;
+
+/// The iteration budget, capped at kFtsOracleStates unless it has a cap.
+Budget oracle_budget(Budget budget) {
+  if (!budget.has_state_cap()) budget.with_state_cap(kFtsOracleStates);
+  return budget;
+}
+
 /// Cap on transition-monoid enumeration inside an oracle iteration: the
 /// monoid can reach |Q|^|Q| elements, far past any useful iteration budget.
 constexpr std::size_t kOracleMonoidCap = 512;
@@ -48,7 +59,10 @@ constexpr std::size_t kOracleMonoidCap = 512;
 // dfa-product-laws: boolean algebra of DFA languages, decided three ways —
 // the product construction, the decision procedures built on it, and plain
 // per-word acceptance — must all agree. Includes the ≥64-symbol alphabets
-// that overflowed the old fixed-size product row buffer.
+// that overflowed the old fixed-size product row buffer. A second leg
+// checks the subset construction lang::determinize cell for cell against
+// the naive reference_determinize, on an ε-NFA grown from the case's NBA
+// and on the Pref skeleton of the case formula's tableau.
 
 FuzzCase gen_product_laws(Rng& rng) {
   FuzzCase c;
@@ -57,7 +71,65 @@ FuzzCase gen_product_laws(Rng& rng) {
   for (int i = 0; i < 2; ++i)
     c.dfas.push_back(
         lang::random_dfa(rng, *c.alphabet, static_cast<std::size_t>(rng.between(2, 5))));
+  c.nbas.push_back(random_nba(rng, *c.alphabet, static_cast<std::size_t>(rng.between(1, 5))));
+  c.formulas.push_back(
+      random_ltl(rng, {"p", "q"}, static_cast<std::size_t>(rng.between(2, 6)),
+                 LtlFlavor::FutureOnly)
+          .to_string());
   return c;
+}
+
+/// The NBA's states and edges read as an NFA (accepting as marked), plus a
+/// fresh initial state with ε-edges to the NBA's initial states and ε-edges
+/// sprinkled between states. The ε Rng is fixed, so a replayed case grows
+/// the same NFA.
+lang::Nfa epsilon_nfa(const omega::Nba& n) {
+  lang::Nfa out(n.alphabet());
+  for (omega::State q = 1; q < n.state_count(); ++q) out.add_state();
+  for (omega::State q = 0; q < n.state_count(); ++q) {
+    out.set_accepting(q, n.accepting(q));
+    for (auto [s, t] : n.edges(q)) out.add_edge(q, s, t);
+  }
+  Rng eps(0xe95);
+  for (omega::State q = 0; q < n.state_count(); ++q)
+    while (eps.chance(1, 3))
+      out.add_epsilon(q, static_cast<lang::State>(eps.below(n.state_count())));
+  const lang::State fresh = out.add_state();
+  out.set_initial(fresh);
+  for (omega::State q : n.initial_states()) out.add_epsilon(fresh, q);
+  return out;
+}
+
+/// lang::determinize against `want`, the reference result under the same
+/// budget: the same outcome, and the same DFA cell for cell when both
+/// complete. A deadline or cancellation on either side ends the check.
+std::optional<CheckOutcome> same_subsets(const lang::Nfa& n, const Budget& budget,
+                                         const Budgeted<Dfa>& want, const std::string& what) {
+  const Budgeted<Dfa> got = lang::determinize(n, budget);
+  const Outcome o = worst(want.outcome, got.outcome);
+  if (o == Outcome::BudgetDeadline || o == Outcome::Cancelled)
+    return CheckOutcome::exhausted(std::string(to_string(o)));
+  if (want.outcome != got.outcome)
+    return CheckOutcome::fail("determinize of " + what + " ended " +
+                              std::string(to_string(got.outcome)) + ", reference " +
+                              std::string(to_string(want.outcome)));
+  if (want.complete())
+    if (auto diff = dfa_mismatch(*want.value, *got.value))
+      return CheckOutcome::fail("determinize of " + what + ": " + *diff);
+  return std::nullopt;
+}
+
+/// The subset construction of `n` against the reference, under the
+/// iteration budget and again under a state cap drawn from `caps`.
+std::optional<CheckOutcome> subsets_agree(const lang::Nfa& n, const Budget& budget, Rng& caps,
+                                          const std::string& what) {
+  const Budgeted<Dfa> want = reference_determinize(n, budget);
+  if (auto r = same_subsets(n, budget, want, what)) return r;
+  if (!want.complete()) return CheckOutcome::exhausted(std::string(to_string(want.outcome)));
+  Budget capped = budget;
+  capped.with_state_cap(static_cast<std::size_t>(caps.below(want.value->state_count() + 1)));
+  return same_subsets(n, capped, reference_determinize(n, capped),
+                      what + " under a state cap of " + std::to_string(capped.state_cap()));
 }
 
 CheckOutcome check_product_laws(const FuzzCase& c, const Budget& budget) {
@@ -98,6 +170,26 @@ CheckOutcome check_product_laws(const FuzzCase& c, const Budget& budget) {
       return CheckOutcome::fail("union disagrees with memberships on a sampled word");
     if (diff.accepts(w) != (in_a && !in_b))
       return CheckOutcome::fail("difference disagrees with memberships on a sampled word");
+  }
+  // Subset-construction leg. Cases stored before it carry no NBA/formula.
+  Rng caps(0xca95);
+  if (!c.nbas.empty()) {
+    if (auto gate = budget_gate(budget)) return *gate;
+    const lang::Nfa nfa = epsilon_nfa(c.nbas[0]);
+    if (auto r = subsets_agree(nfa, oracle_budget(budget), caps, "the ε-NFA")) return *r;
+  }
+  if (!c.formulas.empty()) {
+    if (auto gate = budget_gate(budget)) return *gate;
+    const ltl::Formula f = ltl::parse_formula(c.formulas[0]);
+    std::vector<std::string> atoms = f.atoms();
+    if (atoms.empty()) atoms.emplace_back("p");
+    const Budgeted<omega::Nba> nba =
+        ltl::to_nba(f, lang::Alphabet::of_props(atoms), oracle_budget(budget));
+    if (!nba.complete()) return CheckOutcome::exhausted(std::string(to_string(nba.outcome)));
+    if (nba.value->state_count() > 0)
+      if (auto r = subsets_agree(omega::pref_skeleton(*nba.value), oracle_budget(budget), caps,
+                                 "the Pref skeleton of '" + c.formulas[0] + "'"))
+        return *r;
   }
   return CheckOutcome::pass();
 }
@@ -404,16 +496,6 @@ FuzzCase gen_fts_engines(Rng& rng) {
     break;
   }
   return c;
-}
-
-/// State cap for the checker runs and the reference product, unless the
-/// iteration budget carries a cap of its own.
-constexpr std::size_t kFtsOracleStates = 20000;
-
-/// The iteration budget, capped at kFtsOracleStates unless it has a cap.
-Budget oracle_budget(Budget budget) {
-  if (!budget.has_state_cap()) budget.with_state_cap(kFtsOracleStates);
-  return budget;
 }
 
 /// The naive reference graph of sys, after checking fts::explore on each of

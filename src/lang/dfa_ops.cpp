@@ -5,6 +5,7 @@
 #include <map>
 
 #include "src/support/check.hpp"
+#include "src/support/flat_hash.hpp"
 
 namespace mph::lang {
 
@@ -130,20 +131,20 @@ Dfa minimize(const Dfa& d) {
     if (reach[q]) cls[q] = d.accepting(q) ? 1 : 0;
 
   std::size_t n_classes = 2;
+  std::vector<int> sig;
+  sig.reserve(sigma + 1);
   for (;;) {
-    // Signature: (class, class-of-successor per symbol).
-    std::map<std::vector<int>, int> sig_to_class;
+    // Signature: (class, class-of-successor per symbol). Classes are
+    // numbered in first-seen order of their signature.
+    FlatInterner<std::vector<int>, IntRangeHash> sig_to_class;
     std::vector<int> next_cls(d.state_count(), -1);
     for (State q = 0; q < d.state_count(); ++q) {
       if (!reach[q]) continue;
-      std::vector<int> sig;
-      sig.reserve(sigma + 1);
+      sig.clear();
       sig.push_back(cls[q]);
       for (Symbol s = 0; s < sigma; ++s) sig.push_back(cls[d.next(q, s)]);
-      auto [it, inserted] = sig_to_class.try_emplace(std::move(sig),
-                                                     static_cast<int>(sig_to_class.size()));
-      (void)inserted;
-      next_cls[q] = it->second;
+      next_cls[q] =
+          static_cast<int>(sig_to_class.intern_admitted(sig, [](std::size_t) {}).first);
     }
     const std::size_t refined = sig_to_class.size();
     cls = std::move(next_cls);

@@ -1,11 +1,11 @@
 #include "src/lang/nfa.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <map>
-#include <set>
+#include <bit>
+#include <cstdint>
 
 #include "src/support/check.hpp"
+#include "src/support/flat_hash.hpp"
 
 namespace mph::lang {
 
@@ -56,27 +56,73 @@ const std::vector<State>& Nfa::epsilon_edges(State q) const {
 
 namespace {
 
-std::set<State> eps_closure(const Nfa& n, std::set<State> states) {
-  std::deque<State> queue(states.begin(), states.end());
-  while (!queue.empty()) {
-    State q = queue.front();
-    queue.pop_front();
-    for (State t : n.epsilon_edges(q))
-      if (states.insert(t).second) queue.push_back(t);
+/// Builds one subset at a time: a stamped mark array (never cleared between
+/// subsets) filters duplicates, and finish() closes the subset under ε-moves
+/// iteratively and puts it in ascending order, the canonical key.
+class SubsetBuilder {
+ public:
+  explicit SubsetBuilder(const Nfa& n) : mark_(n.state_count(), 0), eps_first_(1, 0) {
+    for (State q = 0; q < n.state_count(); ++q) {
+      const auto& eps = n.epsilon_edges(q);
+      eps_.insert(eps_.end(), eps.begin(), eps.end());
+      eps_first_.push_back(static_cast<std::uint32_t>(eps_.size()));
+    }
   }
-  return states;
-}
+
+  void begin() {
+    subset_.clear();
+    if (++stamp_ == 0) {
+      std::fill(mark_.begin(), mark_.end(), 0);
+      stamp_ = 1;
+    }
+  }
+
+  void add(State q) {
+    if (mark_[q] == stamp_) return;
+    mark_[q] = stamp_;
+    subset_.push_back(q);
+  }
+
+  const std::vector<State>& finish() {
+    if (!eps_.empty())
+      for (std::size_t i = 0; i < subset_.size(); ++i) {
+        const State q = subset_[i];
+        for (std::uint32_t e = eps_first_[q]; e < eps_first_[q + 1]; ++e) add(eps_[e]);
+      }
+    // A dense subset is read off the marks in one pass; a sparse one sorted.
+    const std::size_t m = subset_.size();
+    if (m * std::bit_width(m) > mark_.size()) {
+      std::size_t k = 0;
+      for (State q = 0; k < m; ++q)
+        if (mark_[q] == stamp_) subset_[k++] = q;
+    } else {
+      std::sort(subset_.begin(), subset_.end());
+    }
+    return subset_;
+  }
+
+ private:
+  std::vector<std::uint32_t> mark_;
+  std::uint32_t stamp_ = 0;
+  /// CSR ε-edges: the ε-successors of q are eps_[eps_first_[q] .. eps_first_[q+1]).
+  std::vector<std::uint32_t> eps_first_;
+  std::vector<State> eps_;
+  std::vector<State> subset_;
+};
 
 }  // namespace
 
 bool Nfa::accepts(const Word& w) const {
-  std::set<State> cur = eps_closure(*this, {initial_});
+  SubsetBuilder build(*this);
+  build.begin();
+  build.add(initial_);
+  std::vector<State> cur = build.finish();
   for (Symbol s : w) {
-    std::set<State> next;
+    build.begin();
     for (State q : cur)
       for (auto [sym, t] : edges_[q])
-        if (sym == s) next.insert(t);
-    cur = eps_closure(*this, std::move(next));
+        if (sym == s) build.add(t);
+    cur = build.finish();
   }
   return std::any_of(cur.begin(), cur.end(), [&](State q) { return accepting_[q]; });
 }
@@ -84,38 +130,51 @@ bool Nfa::accepts(const Word& w) const {
 namespace {
 
 // Shared body of both determinize() overloads; throws BudgetExhausted at the
-// interning site when the budget runs out.
+// interning site when the budget runs out. Subsets are interned in BFS order
+// (subset q's successors by ascending symbol before subset q+1's), which is
+// the DFA's state numbering.
 Dfa determinize_impl(const Nfa& n, const Budget& budget) {
   const std::size_t sigma = n.alphabet().size();
-  std::map<std::set<State>, State> index;
-  std::vector<std::set<State>> subsets;
-  auto intern = [&](std::set<State> qs) {
-    auto [it, inserted] = index.try_emplace(qs, static_cast<State>(subsets.size()));
-    if (inserted) {
-      budget.require(subsets.size());
-      subsets.push_back(std::move(qs));
-    }
-    return it->second;
+  const std::size_t ns = n.state_count();
+  // CSR successor lists: the targets of (q, s) are
+  // succ[first[q·|Σ| + s] .. first[q·|Σ| + s + 1]).
+  std::vector<std::uint32_t> first(ns * sigma + 1, 0);
+  for (State q = 0; q < ns; ++q)
+    for (auto [s, t] : n.edges(q)) ++first[q * sigma + s + 1];
+  for (std::size_t i = 1; i < first.size(); ++i) first[i] += first[i - 1];
+  std::vector<State> succ(first.back());
+  {
+    std::vector<std::uint32_t> fill(first.begin(), first.end() - 1);
+    for (State q = 0; q < ns; ++q)
+      for (auto [s, t] : n.edges(q)) succ[fill[q * sigma + s]++] = t;
+  }
+
+  FlatInterner<std::vector<State>, IntRangeHash> subsets;
+  SubsetBuilder build(n);
+  auto intern = [&](const std::vector<State>& qs) {
+    return static_cast<State>(
+        subsets.intern_admitted(qs, [&](std::size_t id) { budget.require(id); }).first);
   };
-  intern(eps_closure(n, {n.initial()}));
-  std::vector<std::vector<State>> trans;
+  build.begin();
+  build.add(n.initial());
+  intern(build.finish());
+  std::vector<State> trans;  // row-major: subset · |Σ| + symbol
   for (State q = 0; q < subsets.size(); ++q) {
     if (Outcome o = budget.poll(); !is_complete(o)) throw BudgetExhausted(o);
-    trans.emplace_back(sigma);
     for (Symbol s = 0; s < sigma; ++s) {
-      std::set<State> next;
-      for (State p : subsets[q])
-        for (auto [sym, t] : n.edges(p))
-          if (sym == s) next.insert(t);
-      trans[q][s] = intern(eps_closure(n, std::move(next)));
+      build.begin();
+      for (State p : subsets[q]) {
+        const std::size_t row = p * sigma + s;
+        for (std::uint32_t e = first[row]; e < first[row + 1]; ++e) build.add(succ[e]);
+      }
+      trans.push_back(intern(build.finish()));
     }
   }
   Dfa out(n.alphabet(), subsets.size(), 0);
+  auto accepting = [&](State p) { return n.accepting(p); };
   for (State q = 0; q < subsets.size(); ++q) {
-    bool acc = std::any_of(subsets[q].begin(), subsets[q].end(),
-                           [&](State p) { return n.accepting(p); });
-    out.set_accepting(q, acc);
-    for (Symbol s = 0; s < sigma; ++s) out.set_transition(q, s, trans[q][s]);
+    out.set_accepting(q, std::any_of(subsets[q].begin(), subsets[q].end(), accepting));
+    for (Symbol s = 0; s < sigma; ++s) out.set_transition(q, s, trans[q * sigma + s]);
   }
   return out;
 }

@@ -1,5 +1,8 @@
 #include "src/ltl/to_nba.hpp"
 
+#include <array>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/support/check.hpp"
@@ -99,6 +102,11 @@ omega::Nba to_nba_impl(const Formula& f, const lang::Alphabet& alphabet,
   std::vector<Formula> subs;
   collect(nnf, subs);
   const std::size_t n = subs.size();
+  // Child positions, resolved once; collect() lists children first.
+  std::vector<std::array<std::size_t, 2>> kid(n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t k = 0; k < subs[i].arity(); ++k)
+      kid[i][k] = index_of(subs, subs[i].child(k));
   // Free positions: atoms, X, U, R. Everything else is determined bottom-up.
   std::vector<std::size_t> free_idx;
   for (std::size_t i = 0; i < n; ++i) {
@@ -109,18 +117,22 @@ omega::Nba to_nba_impl(const Formula& f, const lang::Alphabet& alphabet,
   MPH_REQUIRE(free_idx.size() <= 12,
               "closure too large for the tableau construction (cap: 12 free subformulas)");
 
-  // Enumerate locally consistent assignments.
-  std::vector<std::vector<bool>> assigns;
+  // Enumerate locally consistent assignments, stored as rows of `words`
+  // bit words.
+  const std::size_t words = (n + 63) / 64;
+  std::vector<std::uint64_t> rows;
+  auto bit = [&](std::size_t ai, std::size_t i) {
+    return (rows[ai * words + i / 64] >> (i % 64)) & 1;
+  };
   const std::size_t combos = std::size_t{1} << free_idx.size();
+  std::vector<bool> a(n);
   for (std::size_t bits = 0; bits < combos; ++bits) {
     if (Outcome o = budget.poll(); !is_complete(o)) throw BudgetExhausted(o);
-    std::vector<bool> a(n, false);
+    std::fill(a.begin(), a.end(), false);
     for (std::size_t k = 0; k < free_idx.size(); ++k)
       a[free_idx[k]] = (bits >> k) & 1;
     for (std::size_t i = 0; i < n; ++i) {
-      const Formula& g = subs[i];
-      auto kid = [&](std::size_t k) { return a[index_of(subs, g.child(k))]; };
-      switch (g.op()) {
+      switch (subs[i].op()) {
         case Op::True:
           a[i] = true;
           break;
@@ -128,64 +140,72 @@ omega::Nba to_nba_impl(const Formula& f, const lang::Alphabet& alphabet,
           a[i] = false;
           break;
         case Op::Not:
-          a[i] = !kid(0);
+          a[i] = !a[kid[i][0]];
           break;
         case Op::And:
-          a[i] = kid(0) && kid(1);
+          a[i] = a[kid[i][0]] && a[kid[i][1]];
           break;
         case Op::Or:
-          a[i] = kid(0) || kid(1);
+          a[i] = a[kid[i][0]] || a[kid[i][1]];
           break;
         default:
           break;  // free positions already set
       }
     }
-    assigns.push_back(std::move(a));
+    rows.resize(rows.size() + words, 0);
+    std::uint64_t* row = &rows[rows.size() - words];
+    for (std::size_t i = 0; i < n; ++i)
+      if (a[i]) row[i / 64] |= std::uint64_t{1} << (i % 64);
   }
+  const std::size_t n_assigns = combos;
 
-  // Step-consistency between assignments (symbol-independent part).
-  auto step_ok = [&](const std::vector<bool>& a, const std::vector<bool>& b) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const Formula& g = subs[i];
-      switch (g.op()) {
+  // Step-consistency (the symbol-independent part of a transition): the
+  // one-step laws of X, U and R at a source assignment either fail outright
+  // or pin some target positions, so (a, b) is step-consistent iff
+  // `next_ok[a]` and b agrees with `next_val[a]` on `next_mask[a]`.
+  std::vector<std::uint64_t> next_mask(n_assigns * words, 0), next_val(n_assigns * words, 0);
+  std::vector<bool> next_ok(n_assigns, true);
+  for (std::size_t ai = 0; ai < n_assigns; ++ai) {
+    std::uint64_t* mask = &next_mask[ai * words];
+    std::uint64_t* val = &next_val[ai * words];
+    auto pin = [&](std::size_t j, bool v) {
+      const std::uint64_t m = std::uint64_t{1} << (j % 64);
+      if ((mask[j / 64] & m) && bool(val[j / 64] & m) != v) next_ok[ai] = false;
+      mask[j / 64] |= m;
+      if (v) val[j / 64] |= m;
+    };
+    for (std::size_t i = 0; i < n && next_ok[ai]; ++i) {
+      const bool now = bit(ai, i);
+      switch (subs[i].op()) {
         case Op::Next:
-          if (a[i] != b[index_of(subs, g.child(0))]) return false;
+          pin(kid[i][0], now);
           break;
-        case Op::Until: {
-          bool now = a[index_of(subs, g.child(1))] ||
-                     (a[index_of(subs, g.child(0))] && b[i]);
-          if (a[i] != now) return false;
+        case Op::Until:  // now ⇔ β ∨ (α ∧ X now)
+          if (bit(ai, kid[i][1]))
+            next_ok[ai] = now;
+          else if (!bit(ai, kid[i][0]))
+            next_ok[ai] = !now;
+          else
+            pin(i, now);
           break;
-        }
-        case Op::Release: {
-          bool now = a[index_of(subs, g.child(1))] &&
-                     (a[index_of(subs, g.child(0))] || b[i]);
-          if (a[i] != now) return false;
+        case Op::Release:  // now ⇔ β ∧ (α ∨ X now)
+          if (!bit(ai, kid[i][1]))
+            next_ok[ai] = !now;
+          else if (bit(ai, kid[i][0]))
+            next_ok[ai] = now;
+          else
+            pin(i, now);
           break;
-        }
         default:
           break;
       }
     }
-    return true;
-  };
-
-  // Symbols compatible with an assignment's atom values.
-  auto symbol_ok = [&](const std::vector<bool>& a, lang::Symbol s) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (subs[i].op() != Op::Atom) continue;
-      bool holds;
-      if (alphabet.prop_based()) {
-        auto idx = alphabet.prop_index(subs[i].atom_name());
-        MPH_REQUIRE(idx.has_value(), "unknown proposition: " + subs[i].atom_name());
-        holds = alphabet.holds(s, *idx);
-      } else {
-        auto sym = alphabet.find(subs[i].atom_name());
-        MPH_REQUIRE(sym.has_value(), "unknown letter: " + subs[i].atom_name());
-        holds = (s == *sym);
-      }
-      if (a[i] != holds) return false;
-    }
+  }
+  auto step_ok = [&](std::size_t ai, std::size_t bi) {
+    if (!next_ok[ai]) return false;
+    for (std::size_t w = 0; w < words; ++w)
+      if ((rows[bi * words + w] & next_mask[ai * words + w]) != next_val[ai * words + w])
+        return false;
     return true;
   };
 
@@ -200,26 +220,56 @@ omega::Nba to_nba_impl(const Formula& f, const lang::Alphabet& alphabet,
   auto state_id = [&](std::size_t ai, std::size_t c) {
     return static_cast<omega::State>(ai * n_counters + c);
   };
-  for (std::size_t ai = 0; ai < assigns.size(); ++ai)
+  for (std::size_t ai = 0; ai < n_assigns; ++ai)
     for (std::size_t c = 0; c < n_counters; ++c) {
       budget.require(out.state_count());
       omega::State added = out.add_state();
       MPH_ASSERT(added == state_id(ai, c));
     }
-  // An assignment fulfills until u when ¬a[u] or a[β].
-  auto fulfills = [&](const std::vector<bool>& a, std::size_t u) {
-    return !a[u] || a[index_of(subs, subs[u].child(1))];
+
+  // Symbols compatible with each assignment: a symbol's atom signature (bit
+  // k = atom k holds) must equal the assignment's atom values. Each atom is
+  // resolved against the alphabet once.
+  std::vector<std::size_t> atom_idx;
+  for (std::size_t i = 0; i < n; ++i)
+    if (subs[i].op() == Op::Atom) atom_idx.push_back(i);
+  std::vector<std::uint32_t> symbol_sig(alphabet.size(), 0);
+  for (std::size_t k = 0; k < atom_idx.size(); ++k) {
+    const std::string& name = subs[atom_idx[k]].atom_name();
+    if (alphabet.prop_based()) {
+      auto idx = alphabet.prop_index(name);
+      MPH_REQUIRE(idx.has_value(), "unknown proposition: " + name);
+      for (lang::Symbol s = 0; s < alphabet.size(); ++s)
+        if (alphabet.holds(s, *idx)) symbol_sig[s] |= std::uint32_t{1} << k;
+    } else {
+      auto sym = alphabet.find(name);
+      MPH_REQUIRE(sym.has_value(), "unknown letter: " + name);
+      symbol_sig[*sym] |= std::uint32_t{1} << k;
+    }
+  }
+  std::vector<std::vector<lang::Symbol>> symbols_of_sig(std::size_t{1} << atom_idx.size());
+  for (lang::Symbol s = 0; s < alphabet.size(); ++s) symbols_of_sig[symbol_sig[s]].push_back(s);
+  auto symbols = [&](std::size_t ai) -> const std::vector<lang::Symbol>& {
+    std::uint32_t sig = 0;
+    for (std::size_t k = 0; k < atom_idx.size(); ++k)
+      if (bit(ai, atom_idx[k])) sig |= std::uint32_t{1} << k;
+    return symbols_of_sig[sig];
   };
-  for (std::size_t ai = 0; ai < assigns.size(); ++ai) {
-    for (std::size_t bi = 0; bi < assigns.size(); ++bi) {
-      if (Outcome o = budget.poll(); !is_complete(o)) throw BudgetExhausted(o);
-      if (!step_ok(assigns[ai], assigns[bi])) continue;
-      for (lang::Symbol s = 0; s < alphabet.size(); ++s) {
-        if (!symbol_ok(assigns[ai], s)) continue;
+
+  // An assignment fulfills until u when ¬a[u] or a[β].
+  auto fulfills = [&](std::size_t ai, std::size_t u) {
+    return !bit(ai, u) || bit(ai, kid[u][1]);
+  };
+  for (std::size_t ai = 0; ai < n_assigns; ++ai) {
+    if (Outcome o = budget.poll(); !is_complete(o)) throw BudgetExhausted(o);
+    const std::vector<lang::Symbol>& compatible = symbols(ai);
+    for (std::size_t bi = 0; bi < n_assigns; ++bi) {
+      if (!step_ok(ai, bi)) continue;
+      for (lang::Symbol s : compatible) {
         for (std::size_t c = 0; c < n_counters; ++c) {
           // Counter advances when the watched until is fulfilled *now*.
           std::size_t c2 = c;
-          if (!until_idx.empty() && fulfills(assigns[ai], until_idx[c])) {
+          if (!until_idx.empty() && fulfills(ai, until_idx[c])) {
             c2 = (c + 1) % n_counters;
           }
           out.add_edge(state_id(ai, c), s, state_id(bi, c2));
@@ -236,18 +286,18 @@ omega::Nba to_nba_impl(const Formula& f, const lang::Alphabet& alphabet,
   // wrapped infinitely often. Wrapping is detectable at counter 0 only if
   // every wrap visits it, which holds since the counter moves cyclically by
   // +1. With no untils every state is accepting.
-  for (std::size_t ai = 0; ai < assigns.size(); ++ai) {
+  for (std::size_t ai = 0; ai < n_assigns; ++ai) {
     if (until_idx.empty()) {
       out.set_accepting(state_id(ai, 0));
-    } else if (fulfills(assigns[ai], until_idx[0])) {
+    } else if (fulfills(ai, until_idx[0])) {
       // (a, 0) with u₀ fulfilled: the next wrap cycle starts here.
       out.set_accepting(state_id(ai, 0));
     }
   }
   // Initial states: root true, counter 0.
   const std::size_t root = index_of(subs, nnf);
-  for (std::size_t ai = 0; ai < assigns.size(); ++ai)
-    if (assigns[ai][root]) out.add_initial(state_id(ai, 0));
+  for (std::size_t ai = 0; ai < n_assigns; ++ai)
+    if (bit(ai, root)) out.add_initial(state_id(ai, 0));
   return out;
 }
 

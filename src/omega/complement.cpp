@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <deque>
-#include <set>
 
 #include "src/omega/nba_internal.hpp"
 #include "src/support/check.hpp"
+#include "src/support/flat_hash.hpp"
 
 namespace mph::omega {
 
@@ -85,26 +85,22 @@ struct ComplementEngine::Part {
   /// delta[q][s]: sorted, duplicate-free successor list.
   std::vector<std::vector<std::vector<State>>> delta;
 
-  std::map<std::vector<std::uint32_t>, std::uint32_t> ids;
-  std::vector<const std::vector<std::uint32_t>*> key_of;  ///< map nodes are stable
+  /// Macrostate keys; a macrostate's id is its key's index.
+  FlatInterner<std::vector<std::uint32_t>, IntRangeHash> ids;
   std::vector<bool> acc;
   std::vector<std::optional<std::vector<std::pair<Symbol, std::uint32_t>>>> succs;
 
   explicit Part(Nba a) : aut(std::move(a)) {}
 
   /// Interns a macrostate key, admitting against the shared work counter.
-  std::uint32_t intern(std::vector<std::uint32_t> key, bool accepting, const Budget& budget,
-                       std::size_t& work) {
-    auto it = ids.find(key);
-    if (it != ids.end()) return it->second;
-    budget.require(work++);
-    std::uint32_t id = static_cast<std::uint32_t>(acc.size());
-    auto [node, inserted] = ids.emplace(std::move(key), id);
-    MPH_ASSERT(inserted);
-    key_of.push_back(&node->first);
-    acc.push_back(accepting);
-    succs.emplace_back();
-    return id;
+  std::uint32_t intern(const std::vector<std::uint32_t>& key, bool accepting,
+                       const Budget& budget, std::size_t& work) {
+    auto [id, fresh] = ids.intern_admitted(key, [&](std::size_t) { budget.require(work++); });
+    if (fresh) {
+      acc.push_back(accepting);
+      succs.emplace_back();
+    }
+    return static_cast<std::uint32_t>(id);
   }
 
   std::vector<State> image(const std::vector<State>& set, Symbol s) const {
@@ -308,7 +304,7 @@ std::uint32_t ComplementEngine::part_initial(std::size_t part) {
     key.push_back(kSep);
     accepting = true;
   }
-  return p.intern(std::move(key), accepting, options_.budget, work_);
+  return p.intern(key, accepting, options_.budget, work_);
 }
 
 const std::vector<std::pair<Symbol, std::uint32_t>>& ComplementEngine::part_successors(
@@ -318,11 +314,11 @@ const std::vector<std::pair<Symbol, std::uint32_t>>& ComplementEngine::part_succ
   MPH_REQUIRE(id < p.succs.size(), "macrostate out of range");
   if (p.succs[id].has_value()) return *p.succs[id];
 
-  const auto comps = split_key(*p.key_of[id]);
+  const auto comps = split_key(p.ids[id]);
 
-  std::set<std::pair<Symbol, std::uint32_t>> edges;
-  auto intern = [&](std::vector<std::uint32_t> k, bool accepting) {
-    return p.intern(std::move(k), accepting, options_.budget, work_);
+  std::vector<std::pair<Symbol, std::uint32_t>> edges;
+  auto intern = [&](const std::vector<std::uint32_t>& k, bool accepting) {
+    return p.intern(k, accepting, options_.budget, work_);
   };
 
   if (p.ncsb) {
@@ -370,7 +366,7 @@ const std::vector<std::pair<Symbol, std::uint32_t>>& ComplementEngine::part_succ
         k.insert(k.end(), sp.begin(), sp.end());
         k.push_back(kSep);
         k.insert(k.end(), bp.begin(), bp.end());
-        edges.emplace(s, intern(std::move(k), bp.empty()));
+        edges.emplace_back(s, intern(k, bp.empty()));
       }
     }
   } else {
@@ -384,11 +380,13 @@ const std::vector<std::pair<Symbol, std::uint32_t>>& ComplementEngine::part_succ
       rank.push_back(comps[0][i + 1]);
     }
     const std::vector<std::uint32_t>& oset = comps[1];
+    std::vector<std::uint32_t> key;  // scratch for each emitted macrostate
+    std::vector<State> evens, oset_next;
     for (Symbol s = 0; s < alphabet_.size(); ++s) {
       auto next_support = p.image(support, s);
       if (next_support.empty()) {
         // No run survives: the accepting sink (empty support).
-        edges.emplace(s, intern({kSep}, true));
+        edges.emplace_back(s, intern({kSep}, true));
         continue;
       }
       // cap(q′) = min over predecessors of their rank, floored to even on
@@ -403,22 +401,30 @@ const std::vector<std::pair<Symbol, std::uint32_t>>& ComplementEngine::part_succ
       for (std::size_t i = 0; i < next_support.size(); ++i)
         if (p.aut.accepting(next_support[i])) cap[i] &= ~std::uint32_t{1};
       auto d_o = p.image(std::vector<State>(oset.begin(), oset.end()), s);
+      std::vector<bool> on_f(next_support.size());
+      for (std::size_t i = 0; i < next_support.size(); ++i)
+        on_f[i] = p.aut.accepting(next_support[i]);
       // Enumerate all pointwise-≤ rankings (full Kupferman–Vardi; each leaf
       // is a candidate macrostate and counts against the budget).
-      std::vector<std::uint32_t> assign(next_support.size(), 0);
-      auto emit = [&]() {
+      auto emit = [&](const std::vector<std::uint32_t>& assign) {
         options_.budget.require(work_++);
-        std::vector<std::uint32_t> k;
-        std::vector<State> evens;
+        key.clear();
+        evens.clear();
         for (std::size_t i = 0; i < next_support.size(); ++i) {
-          k.push_back(next_support[i]);
-          k.push_back(assign[i]);
+          key.push_back(next_support[i]);
+          key.push_back(assign[i]);
           if ((assign[i] & 1) == 0) evens.push_back(next_support[i]);
         }
-        k.push_back(kSep);
-        std::vector<State> op = oset.empty() ? evens : intersect_sorted(d_o, evens);
-        k.insert(k.end(), op.begin(), op.end());
-        edges.emplace(s, intern(std::move(k), op.empty()));
+        key.push_back(kSep);
+        const std::vector<State>* op = &evens;
+        if (!oset.empty()) {
+          oset_next.clear();
+          std::set_intersection(d_o.begin(), d_o.end(), evens.begin(), evens.end(),
+                                std::back_inserter(oset_next));
+          op = &oset_next;
+        }
+        key.insert(key.end(), op->begin(), op->end());
+        edges.emplace_back(s, intern(key, op->empty()));
       };
       // Iterative odometer over ranks (descending from cap keeps the
       // highest-rank successor first deterministically).
@@ -426,11 +432,8 @@ const std::vector<std::pair<Symbol, std::uint32_t>>& ComplementEngine::part_succ
       for (;;) {
         bool ok = true;
         for (std::size_t i = 0; i < cur.size(); ++i)
-          if (p.aut.accepting(next_support[i]) && (cur[i] & 1)) ok = false;
-        if (ok) {
-          assign = cur;
-          emit();
-        }
+          if (on_f[i] && (cur[i] & 1)) ok = false;
+        if (ok) emit(cur);
         // Decrement odometer.
         std::size_t i = 0;
         while (i < cur.size() && cur[i] == 0) {
@@ -442,8 +445,21 @@ const std::vector<std::pair<Symbol, std::uint32_t>>& ComplementEngine::part_succ
       }
     }
   }
-  p.succs[id] = std::vector<std::pair<Symbol, std::uint32_t>>(edges.begin(), edges.end());
+  // Ascending (symbol, id), duplicates dropped.
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  p.succs[id] = std::move(edges);
   return *p.succs[id];
+}
+
+ComplementEngine::Edges ComplementEngine::part_successors(std::size_t part, std::uint32_t id,
+                                                          Symbol s) {
+  const auto& all = part_successors(part, id);
+  auto lo = std::lower_bound(all.begin(), all.end(), s,
+                             [](const auto& e, Symbol sym) { return e.first < sym; });
+  auto hi = std::upper_bound(lo, all.end(), s,
+                             [](Symbol sym, const auto& e) { return sym < e.first; });
+  return {lo, hi};
 }
 
 ComplementResult complement(const Nba& n, const ComplementOptions& options) {
@@ -465,51 +481,46 @@ ComplementResult complement(const Nba& n, const ComplementOptions& options) {
     // Degeneralized product of the part complements: node = (ids…, c); the
     // counter advances when layer c's component is accepting and a node is
     // accepting when the last layer fires.
-    std::map<std::vector<std::uint32_t>, State> product;
-    std::deque<std::vector<std::uint32_t>> queue;
-    std::size_t product_nodes = 0;
-    auto intern = [&](std::vector<std::uint32_t> node) {
-      auto it = product.find(node);
-      if (it != product.end()) return it->second;
-      options.budget.require(product_nodes++);
-      State id = result.add_state();
-      const std::uint32_t c = node.back();
-      bool layer_acc = eng.part_accepting(c, node[c]);
-      result.set_accepting(id, c == k - 1 && layer_acc);
-      product.emplace(node, id);
-      queue.push_back(std::move(node));
-      return id;
+    // Node ids are result states, interned in BFS order.
+    FlatInterner<std::vector<std::uint32_t>, IntRangeHash> product;
+    auto intern = [&](const std::vector<std::uint32_t>& node) {
+      auto [id, fresh] = product.intern_admitted(
+          node, [&](std::size_t count) { options.budget.require(count); });
+      if (fresh) {
+        result.add_state();
+        const std::uint32_t c = node.back();
+        result.set_accepting(id, c == k - 1 && eng.part_accepting(c, node[c]));
+      }
+      return static_cast<State>(id);
     };
-    std::vector<std::uint32_t> init;
-    for (std::size_t i = 0; i < k; ++i) init.push_back(eng.part_initial(i));
-    init.push_back(0);
-    result.add_initial(intern(init));
-    while (!queue.empty()) {
-      std::vector<std::uint32_t> node = queue.front();
-      queue.pop_front();
-      State from = product.at(node);
+    std::vector<std::uint32_t> succ(k + 1);
+    for (std::size_t i = 0; i < k; ++i) succ[i] = eng.part_initial(i);
+    succ[k] = 0;
+    result.add_initial(intern(succ));
+    std::vector<ComplementEngine::Edges> runs(k);
+    for (State from = 0; from < product.size(); ++from) {
+      const std::vector<std::uint32_t> node = product[from];  // interning grows the table
       const std::uint32_t c = node.back();
       bool layer_acc = eng.part_accepting(c, node[c]);
       std::uint32_t next_c = (c == k - 1 && layer_acc) ? 0 : (layer_acc ? c + 1 : c);
-      // Per-part, per-symbol successor lists.
-      std::vector<std::vector<std::vector<std::uint32_t>>> per(k);
-      for (std::size_t i = 0; i < k; ++i) {
-        per[i].assign(n.alphabet().size(), {});
-        for (auto [s, t] : eng.part_successors(i, node[i])) per[i][s].push_back(t);
-      }
+      // Expand every part first, in part order: that fixes the order in
+      // which macrostates are interned and admitted.
+      for (std::size_t i = 0; i < k; ++i) eng.part_successors(i, node[i]);
       for (Symbol s = 0; s < n.alphabet().size(); ++s) {
         bool possible = true;
-        for (std::size_t i = 0; i < k; ++i) possible = possible && !per[i][s].empty();
+        for (std::size_t i = 0; i < k && possible; ++i) {
+          runs[i] = eng.part_successors(i, node[i], s);
+          possible = !runs[i].empty();
+        }
         if (!possible) continue;
         // Cross product of the per-part choices.
-        std::vector<std::uint32_t> pick(k, 0);
+        std::vector<std::size_t> pick(k, 0);
         for (;;) {
-          std::vector<std::uint32_t> succ(k + 1);
-          for (std::size_t i = 0; i < k; ++i) succ[i] = per[i][s][pick[i]];
+          for (std::size_t i = 0; i < k; ++i) succ[i] = runs[i][pick[i]].second;
           succ[k] = next_c;
-          result.add_edge(from, s, intern(std::move(succ)));
+          result.add_edge(from, s, intern(succ));
           std::size_t i = 0;
-          while (i < k && pick[i] + 1 == per[i][s].size()) {
+          while (i < k && pick[i] + 1 == runs[i].size()) {
             pick[i] = 0;
             ++i;
           }

@@ -15,9 +15,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/omega/nba.hpp"
@@ -76,8 +76,14 @@ class ComplementEngine {
   std::uint32_t part_initial(std::size_t part);
   /// All outgoing edges of a macrostate, interning targets on demand.
   /// Throws BudgetExhausted when the budget runs out.
+  /// Sorted by (symbol, id), duplicate-free.
   const std::vector<std::pair<Symbol, std::uint32_t>>& part_successors(std::size_t part,
                                                                        std::uint32_t id);
+  /// The edges of part_successors(part, id) on symbol `s`: a contiguous run
+  /// of that list, valid for the engine's lifetime (a successor list is
+  /// built once and never rebuilt).
+  using Edges = std::span<const std::pair<Symbol, std::uint32_t>>;
+  Edges part_successors(std::size_t part, std::uint32_t id, Symbol s);
   bool part_accepting(std::size_t part, std::uint32_t id) const;
   bool part_uses_ncsb(std::size_t part) const;
 

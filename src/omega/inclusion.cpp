@@ -1,11 +1,10 @@
 #include "src/omega/inclusion.hpp"
 
-#include <deque>
-#include <map>
 #include <vector>
 
 #include "src/omega/nba_internal.hpp"
 #include "src/support/check.hpp"
+#include "src/support/flat_hash.hpp"
 
 namespace mph::omega {
 
@@ -54,56 +53,54 @@ InclusionResult included(const Nba& a, const Nba& b, const InclusionOptions& opt
     // to the standard accepting-lasso search — its symbols are the input's,
     // so a counterexample falls straight out.
     Nba product(a.alphabet());
-    std::map<std::vector<std::uint32_t>, State> ids;
-    std::deque<std::vector<std::uint32_t>> queue;
-    std::size_t nodes = 0;
+    // Node ids are product states, interned in BFS order.
+    FlatInterner<std::vector<std::uint32_t>, IntRangeHash> ids;
     auto layer_accepting = [&](const std::vector<std::uint32_t>& node) {
       const std::uint32_t c = node.back();
       return c == 0 ? a.accepting(node[0]) : eng.part_accepting(c - 1, node[c]);
     };
-    auto intern = [&](std::vector<std::uint32_t> node) {
-      auto it = ids.find(node);
-      if (it != ids.end()) return it->second;
-      options.budget.require(nodes++);
-      State id = product.add_state();
-      product.set_accepting(id, node.back() == k && layer_accepting(node));
-      ids.emplace(node, id);
-      queue.push_back(std::move(node));
-      return id;
+    auto intern = [&](const std::vector<std::uint32_t>& node) {
+      auto [id, fresh] = ids.intern_admitted(
+          node, [&](std::size_t count) { options.budget.require(count); });
+      if (fresh) {
+        product.add_state();
+        product.set_accepting(id, node.back() == k && layer_accepting(node));
+      }
+      return static_cast<State>(id);
     };
+    std::vector<std::uint32_t> succ(k + 2);
     for (State q : a.initial_states()) {
       if (!keep[q]) continue;
-      std::vector<std::uint32_t> node{q};
-      for (std::size_t i = 0; i < k; ++i) node.push_back(eng.part_initial(i));
-      node.push_back(0);
-      product.add_initial(intern(std::move(node)));
+      succ[0] = q;
+      for (std::size_t i = 0; i < k; ++i) succ[i + 1] = eng.part_initial(i);
+      succ[k + 1] = 0;
+      product.add_initial(intern(succ));
     }
-    while (!queue.empty()) {
-      std::vector<std::uint32_t> node = queue.front();
-      queue.pop_front();
-      State from = ids.at(node);
+    std::vector<ComplementEngine::Edges> runs(k);
+    for (State from = 0; from < ids.size(); ++from) {
+      const std::vector<std::uint32_t> node = ids[from];  // interning grows the table
       const std::uint32_t c = node.back();
       const bool acc = layer_accepting(node);
       const std::uint32_t next_c = (c == k && acc) ? 0 : (acc ? c + 1 : c);
-      std::vector<std::vector<std::vector<std::uint32_t>>> per(k);
-      for (std::size_t i = 0; i < k; ++i) {
-        per[i].assign(a.alphabet().size(), {});
-        for (auto [s, t] : eng.part_successors(i, node[i + 1])) per[i][s].push_back(t);
-      }
+      // Expand every part first, in part order: that fixes the order in
+      // which macrostates are interned and admitted.
+      for (std::size_t i = 0; i < k; ++i) eng.part_successors(i, node[i + 1]);
       for (auto [s, ta] : a.edges(static_cast<State>(node[0]))) {
         if (!keep[ta]) continue;
         bool possible = true;
-        for (std::size_t i = 0; i < k; ++i) possible = possible && !per[i][s].empty();
+        for (std::size_t i = 0; i < k && possible; ++i) {
+          runs[i] = eng.part_successors(i, node[i + 1], s);
+          possible = !runs[i].empty();
+        }
         if (!possible) continue;
-        std::vector<std::uint32_t> pick(k, 0);
+        std::vector<std::size_t> pick(k, 0);
         for (;;) {
-          std::vector<std::uint32_t> succ(k + 2);
           succ[0] = ta;
-          for (std::size_t i = 0; i < k; ++i) succ[i + 1] = per[i][s][pick[i]];
+          for (std::size_t i = 0; i < k; ++i) succ[i + 1] = runs[i][pick[i]].second;
           succ[k + 1] = next_c;
-          product.add_edge(from, s, intern(std::move(succ)));
+          product.add_edge(from, s, intern(succ));
           std::size_t i = 0;
-          while (i < k && pick[i] + 1 == per[i][s].size()) {
+          while (i < k && pick[i] + 1 == runs[i].size()) {
             pick[i] = 0;
             ++i;
           }
@@ -112,7 +109,7 @@ InclusionResult included(const Nba& a, const Nba& b, const InclusionOptions& opt
         }
       }
     }
-    out.product_states = nodes;
+    out.product_states = ids.size();
     out.complement = eng.stats();
     if (auto cex = accepting_lasso(product)) {
       out.verdict = InclusionVerdict::NotIncluded;

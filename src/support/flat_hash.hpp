@@ -84,6 +84,30 @@ class FlatInterner {
     return {idx, true};
   }
 
+  /// As intern(), for hot paths where most keys are already present: one
+  /// hash and one probe, and the key is copied only when it is new. Before
+  /// a new key is inserted, `admit(index)` runs; if it throws, the interner
+  /// is left unchanged.
+  template <class Admit>
+  std::pair<std::size_t, bool> intern_admitted(const Key& key, Admit&& admit) {
+    if ((keys_.size() + 1) * 10 > slots_.size() * 7) grow();
+    const std::uint64_t h = hash_(key);
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(h) & mask;
+    while (slots_[i] != kEmpty) {
+      const std::uint32_t idx = slots_[i];
+      if (hashes_[idx] == h && keys_[idx] == key) return {idx, false};
+      i = (i + 1) & mask;
+    }
+    MPH_ASSERT(keys_.size() < kEmpty);
+    const std::uint32_t idx = static_cast<std::uint32_t>(keys_.size());
+    admit(static_cast<std::size_t>(idx));
+    keys_.push_back(key);
+    hashes_.push_back(h);
+    slots_[i] = idx;
+    return {idx, true};
+  }
+
   static constexpr std::size_t npos = ~std::size_t{0};
 
   /// Index of key, or npos when it was never interned.
