@@ -1,18 +1,12 @@
-// Experiment T15 — what runs on more than one core (docs/PARALLEL.md):
-//   1. explore: the work-stealing state-graph exploration on dining-N at
-//      1/2/4 threads — the graph (node count) must not depend on the count;
-//   2. check_all: one batch of independent specs over dining-N on 1/2/4
-//      per-spec worker threads (`CheckOptions::threads`, one shared
-//      exploration) — verdicts and product sizes must not depend on the
-//      count;
-//   3. scan: the class-dispatched dining-N safety spec through the parallel
-//      safety-prefix scan, and Chang–Roberts 'F elected' through the
-//      guarantee dual behind parallel exploration, at 1/2/4 explore-threads.
-// Agreement is asserted in-process; every config's 1-thread vs max-thread
-// speedup lands in a "scaling" summary so the validator can gate the
-// check_all batch speedup on hosts that actually have the cores. ω-products
-// are searched on one thread, so there is no multicore emptiness row.
-// Results land in BENCH_parallel.json (schema + speedup gate in
+// Experiment T15 — what runs on more than one core (docs/CHECKER.md, "The
+// check_all worker pool"): one batch of independent specs over dining-N on
+// 1/2/4 per-spec worker threads (`CheckOptions::threads`, one shared
+// exploration). Verdicts and product sizes must not depend on the count.
+// Exploration and every emptiness search run on one thread, so there is no
+// other multicore row. Agreement is asserted in-process; every config's
+// 1-thread vs max-thread speedup lands in a "scaling" summary so the
+// validator can gate the batch speedup on hosts that actually have the
+// cores. Results land in BENCH_parallel.json (schema + speedup gate in
 // scripts/validate_bench_parallel.py; `ctest -L bench-smoke`).
 //
 //   tab15_parallel [--quick] [--out FILE] [google-benchmark flags]
@@ -40,8 +34,8 @@ double seconds_of(std::chrono::steady_clock::time_point since) {
 
 std::string json_bool(bool b) { return b ? "true" : "false"; }
 
-/// What one run reports: a verdict string ("h"/"v" per spec; "-" for a pure
-/// exploration), the states it built, and the engine that decided.
+/// What one run reports: a verdict string ("h"/"v" per spec), the product
+/// states it built, and the engine that decided the first spec.
 struct Sample {
   std::string verdicts;
   std::size_t states = 0;
@@ -49,33 +43,23 @@ struct Sample {
 };
 
 struct Config {
-  std::string kind;  // "explore", "check_all" or "scan"
   std::string model, what;
   std::function<Sample(unsigned threads)> run;
 };
 
 struct Row {
-  std::string kind, model, what, engine, verdicts;
+  std::string model, what, engine, verdicts;
   unsigned threads = 0;
   std::size_t states = 0;
   double seconds = 0;
 };
 
 struct Scaling {
-  std::string kind, model, what;
+  std::string model, what;
   std::size_t states = 0;
   unsigned threads_max = 0;
   double baseline_seconds = 0, parallel_seconds = 0, speedup = 0;
 };
-
-Config explore_config(const std::string& name, Program prog) {
-  auto shared = std::make_shared<Program>(std::move(prog));
-  return {"explore", name, "explore", [shared](unsigned threads) {
-            fts::ExploreResult ex = fts::explore(shared->system, Budget(), threads);
-            BENCH_CHECK(is_complete(ex.outcome), "exploration completes");
-            return Sample{"-", ex.graph.size(), "explore"};
-          }};
-}
 
 /// One batch: the pairwise exclusion and the starvation-freedom spec of
 /// every philosopher — independent specs for the per-spec worker pool.
@@ -88,7 +72,7 @@ Config check_all_config(const std::string& name, Program prog, std::size_t n) {
   }
   auto shared = std::make_shared<Program>(std::move(prog));
   const std::string what = std::to_string(specs.size()) + " specs";
-  return {"check_all", name, what, [shared, specs](unsigned threads) {
+  return {name, what, [shared, specs](unsigned threads) {
             fts::CheckOptions opts;
             opts.threads = threads;
             const auto results = fts::check_all(shared->system, specs, shared->atoms, opts);
@@ -100,20 +84,6 @@ Config check_all_config(const std::string& name, Program prog, std::size_t n) {
             }
             s.engine = std::string(to_string(results.front().stats.engine));
             return s;
-          }};
-}
-
-Config scan_config(const std::string& name, Program prog, const std::string& spec_text) {
-  auto shared = std::make_shared<Program>(std::move(prog));
-  const ltl::Formula spec = ltl::parse_formula(spec_text);
-  return {"scan", name, spec_text, [shared, spec](unsigned threads) {
-            fts::CheckOptions opts;
-            opts.class_dispatch = true;
-            opts.explore_threads = threads;
-            const fts::CheckResult r = fts::check(shared->system, spec, shared->atoms, opts);
-            BENCH_CHECK(is_complete(r.outcome), "dispatched check completes");
-            return Sample{r.holds ? "h" : "v", r.stats.product_states,
-                          std::string(to_string(r.stats.engine))};
           }};
 }
 
@@ -136,15 +106,15 @@ void run_config(const Config& cfg, const std::vector<unsigned>& thread_counts, i
   }
   for (std::size_t i = 0; i < thread_counts.size(); ++i) {
     const Sample& s = samples[i];
-    const std::string where = cfg.kind + " on " + cfg.model;
+    const std::string where = "check_all on " + cfg.model;
     BENCH_CHECK(s.verdicts == samples[0].verdicts,
                 ("verdicts agree across thread counts: " + where).c_str());
     BENCH_CHECK(s.states == samples[0].states,
                 ("state counts agree across thread counts: " + where).c_str());
-    rows.push_back({cfg.kind, cfg.model, cfg.what, s.engine, s.verdicts, thread_counts[i],
+    rows.push_back({cfg.model, cfg.what, s.engine, s.verdicts, thread_counts[i],
                     s.states, times[i]});
   }
-  scaling.push_back({cfg.kind, cfg.model, cfg.what, samples.back().states,
+  scaling.push_back({cfg.model, cfg.what, samples.back().states,
                      thread_counts.back(), times.front(), times.back(),
                      times.front() / std::max(times.back(), 1e-12)});
 }
@@ -158,7 +128,7 @@ void write_json(const std::string& path, bool quick, int repeats,
       << ",\n  \"repeats\": " << repeats << ",\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    out << "    {\"kind\": \"" << r.kind << "\", \"model\": \""
+    out << "    {\"kind\": \"check_all\", \"model\": \""
         << analysis::json_escape(r.model) << "\", \"what\": \"" << analysis::json_escape(r.what)
         << "\", \"engine\": \"" << analysis::json_escape(r.engine) << "\", \"verdicts\": \""
         << r.verdicts << "\", \"threads\": " << r.threads << ", \"states\": " << r.states
@@ -167,7 +137,7 @@ void write_json(const std::string& path, bool quick, int repeats,
   out << "  ],\n  \"scaling\": [\n";
   for (std::size_t i = 0; i < scaling.size(); ++i) {
     const Scaling& s = scaling[i];
-    out << "    {\"kind\": \"" << s.kind << "\", \"model\": \""
+    out << "    {\"kind\": \"check_all\", \"model\": \""
         << analysis::json_escape(s.model) << "\", \"what\": \"" << analysis::json_escape(s.what)
         << "\", \"states\": " << s.states << ", \"threads_max\": " << s.threads_max
         << ", \"baseline_seconds\": " << s.baseline_seconds
@@ -177,21 +147,14 @@ void write_json(const std::string& path, bool quick, int repeats,
   out << "  ]\n}\n";
 }
 
-// Micro-benchmarks: one batch / one exploration per iteration at the thread
-// count given by the range argument.
+// Micro-benchmark: one batch per iteration at the thread count given by the
+// range argument.
 void bench_check_all_dining(benchmark::State& state) {
   const Config cfg = check_all_config("dining-8", fts::programs::dining_philosophers(8), 8);
   for (auto _ : state) benchmark::DoNotOptimize(cfg.run(static_cast<unsigned>(state.range(0))));
   state.SetLabel("dining-8 batch, threads=" + std::to_string(state.range(0)));
 }
 BENCHMARK(bench_check_all_dining)->DenseRange(1, 4);
-
-void bench_explore_dining(benchmark::State& state) {
-  const Config cfg = explore_config("dining-10", fts::programs::dining_philosophers(10));
-  for (auto _ : state) benchmark::DoNotOptimize(cfg.run(static_cast<unsigned>(state.range(0))));
-  state.SetLabel("dining-10 explore, threads=" + std::to_string(state.range(0)));
-}
-BENCHMARK(bench_explore_dining)->DenseRange(1, 4);
 
 }  // namespace
 
@@ -217,12 +180,8 @@ int main(int argc, char** argv) {
   for (std::size_t n : quick ? std::vector<std::size_t>{4, 6}
                              : std::vector<std::size_t>{8, 10, 11}) {
     const std::string name = "dining-" + std::to_string(n);
-    configs.push_back(explore_config(name, fts::programs::dining_philosophers(n)));
     configs.push_back(check_all_config(name, fts::programs::dining_philosophers(n), n));
-    configs.push_back(scan_config(name, fts::programs::dining_philosophers(n), "G !(eat1 & eat2)"));
   }
-  configs.push_back(scan_config(quick ? "ring-6" : "ring-10",
-                                fts::programs::ring_leader(quick ? 6 : 10), "F elected"));
 
   std::vector<Row> rows;
   std::vector<Scaling> scaling;
@@ -230,8 +189,7 @@ int main(int argc, char** argv) {
   write_json(out_path, quick, repeats, rows, scaling);
 
   double best = 0;
-  for (const Scaling& s : scaling)
-    if (s.kind == "check_all") best = std::max(best, s.speedup);
+  for (const Scaling& s : scaling) best = std::max(best, s.speedup);
   std::printf("T15: %zu configs × %zu thread counts agree; best check_all speedup %.2fx at "
               "%u threads (%u hardware) -> %s\n",
               configs.size(), thread_counts.size(), best, thread_counts.back(),

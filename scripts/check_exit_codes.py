@@ -105,9 +105,10 @@ CASES = [
      ["--model", "peterson", "--budget-ms", "1e9x", "--check", LIVENESS]),
     (2, "negative --budget-states",
      ["--model", "peterson", "--budget-states", "-5", "--check", LIVENESS]),
-    (2, "out-of-range --explore-threads",
-     ["--model", "peterson", "--explore-threads", "99999",
-      "--check", LIVENESS]),
+    (2, "out-of-range --threads",
+     ["--model", "peterson", "--threads", "99999", "--check", LIVENESS]),
+    (2, "retired --explore-threads is an unknown option",
+     ["--model", "peterson", "--explore-threads", "2", "--check", LIVENESS]),
     (2, "overflowing --normalize-steps",
      ["--quiet", "--classify", "--normalize-steps", "99999999999999999999",
       "G p"]),

@@ -8,9 +8,10 @@ response —
   * request ids echo back; unknown ops and malformed JSON come back as
     structured errors without killing the daemon;
   * content-addressed caching: repeated specs hit, duplicate specs within
-    one batch dedup onto a single computation, engine-option variants
-    (force_scc, explore_threads) are keyed separately with agreeing
-    verdicts, and a model delta invalidates only its own digest;
+    one batch dedup onto a single computation, the engine-option variant
+    force_scc is keyed separately with an agreeing verdict, the retired
+    explore_threads key is ignored (served from the default route's entry),
+    and a model delta invalidates only its own digest;
   * budget_ms: 0 on an uncached spec yields a well-formed budget-deadline
     Unknown with MPH-V004, and the exhausted result is never cached;
   * the stats op's counters agree with the stream the daemon just served.
@@ -48,7 +49,7 @@ REQUESTS = [
     {"op": "check", "id": 6, "model": "peterson", "specs": [SAFETY],
      "force_scc": True, "class_dispatch": True},              # separate cache key
     {"op": "check", "id": 7, "model": "peterson", "specs": [SAFETY],
-     "explore_threads": 2},                                   # separate cache key
+     "explore_threads": 2},                                   # ignored: a hit
     {"op": "check", "id": 8, "model": TOGGLE, "specs": ["F xhi", "G xlo"]},
     {"op": "check", "id": 9, "model": TOGGLE, "specs": ["F xhi"]},
     {"op": "check", "id": 10, "model": TOGGLE_DELTA, "specs": ["F xhi"]},
@@ -161,10 +162,11 @@ def main():
            "options digest must differ under force_scc", scc)
 
     par = by_id[7]
-    expect(result_of(par)["cache"] == "miss"
-           and result_of(par)["verdict"] == "holds",
-           "explore_threads must be keyed separately with the same verdict",
-           par)
+    expect(result_of(par)["cache"] == "hit"
+           and result_of(par)["verdict"] == result_of(warm)["verdict"],
+           "explore_threads must be ignored: a hit with the same verdict", par)
+    expect(par["options_digest"] == warm["options_digest"],
+           "explore_threads must not change the options digest", par)
 
     # -- inline models: content addressing and deltas ----------------------
     inline = by_id[8]
@@ -271,7 +273,7 @@ def main():
            and stats["caches"]["implications"]["checks"] >= 1,
            "subsume hit / implication-check counters", by_id[19])
     verdict = stats["caches"]["verdict"]
-    expect(verdict["hits"] == 2 and verdict["dedup"] == 1,
+    expect(verdict["hits"] == 3 and verdict["dedup"] == 1,
            "verdict cache hit/dedup counters", by_id[19])
     expect(endpoints["check"]["p50_us"] > 0,
            "latency percentiles must be populated", by_id[19])

@@ -19,7 +19,7 @@ import sys
 
 SPEEDUP_FLOOR = 1.5
 SPEEDUP_THREADS = 4
-KINDS = {"explore", "check_all", "scan"}
+KINDS = {"check_all"}
 
 
 def fail(msg):
@@ -61,7 +61,7 @@ def main():
                 f"{where}: 'seconds' missing or negative")
         groups.setdefault((row["kind"], row["model"], row["what"]), []).append(row)
 
-    require({key[0] for key in groups} == KINDS, "some kind of parallel work has no rows")
+    require({key[0] for key in groups} == KINDS, "no check_all rows")
     for key, group in groups.items():
         where = f"group {key}"
         threads = [r["threads"] for r in group]

@@ -30,7 +30,6 @@ KNOWN_ORACLES = {
     "classify-vs-forms",
     "ltl-eval-vs-automaton",
     "fts-engines",
-    "fts-engines-parallel",
     "vacuity-antecedent",
     "normalize-agreement",
     "lasso-roundtrip",

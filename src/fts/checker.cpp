@@ -11,12 +11,11 @@
 #include <sstream>
 #include <thread>
 
-#include "src/fts/checker_detail.hpp"
-#include "src/fts/parallel.hpp"
 #include "src/ltl/hierarchy.hpp"
 #include "src/ltl/normalize.hpp"
 #include "src/ltl/syntactic.hpp"
 #include "src/ltl/to_nba.hpp"
+#include "src/omega/det_omega.hpp"
 #include "src/omega/emptiness.hpp"
 #include "src/omega/graph.hpp"
 #include "src/omega/nba.hpp"
@@ -71,9 +70,15 @@ double elapsed(Clock::time_point since) {
   return std::chrono::duration<double>(Clock::now() - since).count();
 }
 
-using detail::aut_of;
-using detail::node_of;
-using detail::pack;
+/// 64-bit product keys: state-graph node in the high half, automaton state
+/// in the low half.
+constexpr std::uint64_t pack(std::size_t n, omega::State q) {
+  return (static_cast<std::uint64_t>(n) << 32) | q;
+}
+constexpr std::size_t node_of(std::uint64_t key) { return key >> 32; }
+constexpr omega::State aut_of(std::uint64_t key) {
+  return static_cast<omega::State>(key & 0xffffffffu);
+}
 
 /// The compiled ¬spec automaton as a successor table built once per check:
 /// the successors of (q, s) are targets[offsets[q·|Σ| + s] ..
@@ -671,16 +676,39 @@ struct SearchResult {
   Outcome outcome = Outcome::Complete;
   std::size_t product_states = 0;
   std::optional<NodeLasso> violation;
-  unsigned threads_used = 1;
-  std::vector<std::size_t> worker_states, worker_steals;
 };
 
-/// The sequential closed-prefix scan: BFS over node × det(spec) pairs until
-/// a dead automaton state is reached.
-detail::ScanResult safety_scan(const StateGraph& sg, const std::vector<lang::Symbol>& labels,
-                               const omega::DetOmega& m, const std::vector<bool>& live,
-                               const Budget& budget) {
-  detail::ScanResult res;
+/// A bad prefix extended into a full computation by the first-edge walk from
+/// its last node until the walk re-enters itself (every node has a
+/// successor; deadlocks stutter). Any extension of a bad prefix violates a
+/// closed property, and by machine closure some *fair* computation shares
+/// this prefix.
+NodeLasso extend_bad_prefix(const StateGraph& sg, std::vector<std::size_t> prefix) {
+  NodeLasso lasso{std::move(prefix), {}};
+  std::vector<std::int64_t> seen_at(sg.size(), -1);
+  std::vector<std::size_t> walk{lasso.prefix.back()};
+  seen_at[walk[0]] = 0;
+  for (;;) {
+    const std::size_t next = sg.edges(walk.back()).front().target;
+    if (seen_at[next] >= 0) {
+      // Computation: prefix ++ walk[1..] ++ (walk[j..])^ω where j is where
+      // the walk re-entered itself.
+      lasso.prefix.insert(lasso.prefix.end(), walk.begin() + 1, walk.end());
+      lasso.loop.assign(walk.begin() + seen_at[next], walk.end());
+      return lasso;
+    }
+    seen_at[next] = static_cast<std::int64_t>(walk.size());
+    walk.push_back(next);
+  }
+}
+
+/// The closed-prefix scan: BFS over node × det(spec) pairs until a dead
+/// automaton state is reached. The violation is the BFS path root..bad,
+/// extended into a computation.
+SearchResult safety_scan(const StateGraph& sg, const std::vector<lang::Symbol>& labels,
+                         const omega::DetOmega& m, const std::vector<bool>& live,
+                         const Budget& budget) {
+  SearchResult res;
   FlatInterner<std::uint64_t, IntHash> pids;
   std::vector<std::int64_t> parent;  // per pid: BFS predecessor, -1 at the root
   std::deque<std::uint32_t> queue;
@@ -718,66 +746,26 @@ detail::ScanResult safety_scan(const StateGraph& sg, const std::vector<lang::Sym
     for (std::int64_t p = static_cast<std::int64_t>(*bad); p >= 0; p = parent[p])
       path.push_back(node_of(pids[static_cast<std::size_t>(p)]));
     std::reverse(path.begin(), path.end());
-    res.bad_path = std::move(path);
+    res.violation = extend_bad_prefix(sg, std::move(path));
   }
   return res;
 }
 
-/// A bad prefix extended into a full computation by the first-edge walk from
-/// its last node until the walk re-enters itself (every node has a
-/// successor; deadlocks stutter). Any extension of a bad prefix violates a
-/// closed property, and by machine closure some *fair* computation shares
-/// this prefix.
-NodeLasso extend_bad_prefix(const StateGraph& sg, std::vector<std::size_t> prefix) {
-  NodeLasso lasso{std::move(prefix), {}};
-  std::vector<std::int64_t> seen_at(sg.size(), -1);
-  std::vector<std::size_t> walk{lasso.prefix.back()};
-  seen_at[walk[0]] = 0;
-  for (;;) {
-    const std::size_t next = sg.edges(walk.back()).front().target;
-    if (seen_at[next] >= 0) {
-      // Computation: prefix ++ walk[1..] ++ (walk[j..])^ω where j is where
-      // the walk re-entered itself.
-      lasso.prefix.insert(lasso.prefix.end(), walk.begin() + 1, walk.end());
-      lasso.loop.assign(walk.begin() + seen_at[next], walk.end());
-      return lasso;
-    }
-    seen_at[next] = static_cast<std::int64_t>(walk.size());
-    walk.push_back(next);
-  }
-}
-
-/// Runs the route's engine over the state graph: the closed-prefix scan
-/// (on `explore_threads` workers) for SafetyPrefix, the on-the-fly SCC
-/// search for the rest. Budget exhaustion comes back as the outcome.
+/// Runs the route's engine over the state graph: the closed-prefix scan for
+/// SafetyPrefix, the on-the-fly SCC search for the rest. Budget exhaustion
+/// comes back as the outcome.
 SearchResult search(const Route& route, const StateGraph& sg,
                     const std::vector<lang::Symbol>& labels, const FairnessFrame& fair,
-                    const std::vector<MarkSet>& fair_marks, const Budget& budget,
-                    unsigned explore_threads) {
+                    const std::vector<MarkSet>& fair_marks, const Budget& budget) {
   SearchResult found;
   if (!is_complete(route.tableau)) {
     found.outcome = route.tableau;
     return found;
   }
-  if (route.det_spec) {
-    detail::ScanResult scan;
-    if (explore_threads > 1) {
-      scan = detail::parallel_safety_scan(sg, labels, *route.det_spec, route.live, budget,
-                                          explore_threads);
-      found.threads_used = explore_threads;
-    } else {
-      scan = safety_scan(sg, labels, *route.det_spec, route.live, budget);
-    }
-    found.outcome = scan.outcome;
-    found.product_states = scan.product_states;
-    found.worker_states = std::move(scan.worker_states);
-    found.worker_steals = std::move(scan.worker_steals);
-    if (scan.bad_path) found.violation = extend_bad_prefix(sg, std::move(*scan.bad_path));
-    return found;
-  }
+  if (route.det_spec) return safety_scan(sg, labels, *route.det_spec, route.live, budget);
 
   // One on-the-fly SCC search decides every ω-product, whatever the
-  // acceptance shape and explore_threads (the search itself is sequential).
+  // acceptance shape.
   const Acceptance acc =
       Acceptance::conj(Acceptance(fair.acceptance), route.neg.acceptance.shift(fair.mark_count));
   MPH_REQUIRE((acc.mentioned_marks() >> 63) == 0, "too many fairness marks");
@@ -810,9 +798,6 @@ CheckResult verdict(const StateGraph& sg, const Route& route, SearchResult found
   s.engine = route.engine;
   s.class_source = route.class_source;
   s.normalize_steps = route.normalize_steps;
-  s.threads_used = found.threads_used;
-  s.worker_states = std::move(found.worker_states);
-  s.worker_steals = std::move(found.worker_steals);
   // Budget exhaustion ends the check with an *unknown* verdict: holds ==
   // false with no witness.
   result.outcome = s.outcome = found.outcome;
@@ -931,7 +916,7 @@ std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::For
   // Shared phases: one exploration, one fairness frame, one label cache per
   // distinct atom vocabulary.
   auto t_explore = Clock::now();
-  ExploreResult ex = explore(system, budget, options.explore_threads);
+  ExploreResult ex = explore(system, budget);
   const double explore_seconds = elapsed(t_explore);
   if (!is_complete(ex.outcome)) {
     // The shared exploration ran out of budget: every spec in the batch not
@@ -985,8 +970,7 @@ std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::For
     const Route r = route(specs[i], cache.alphabet, budget, options);
     const double compile_seconds = elapsed(t_compile);
     const auto t_search = Clock::now();
-    SearchResult found =
-        search(r, sg, cache.labels, fair, fair_marks, budget, options.explore_threads);
+    SearchResult found = search(r, sg, cache.labels, fair, fair_marks, budget);
     const double search_seconds = elapsed(t_search);
     results[i] = verdict(sg, r, std::move(found), specs[i], engine);
     CheckStats& s = results[i].stats;

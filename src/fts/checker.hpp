@@ -87,12 +87,6 @@ struct CheckStats {
   ClassSource class_source = ClassSource::None;  ///< provenance of the routing class
   std::size_t normalize_steps = 0;  ///< rewrite steps spent by ΔΓ-normalization
   Outcome outcome = Outcome::Complete;  ///< how the check ended (docs/BUDGETS.md)
-  /// Workers the emptiness search actually ran on (docs/PARALLEL.md): equals
-  /// CheckOptions::explore_threads when the verdict came from the parallel
-  /// safety-prefix scan, 1 otherwise (ω-products are searched on one thread).
-  unsigned threads_used = 1;
-  std::vector<std::size_t> worker_states;  ///< per-worker product states expanded (scan only)
-  std::vector<std::size_t> worker_steals;  ///< per-worker frontier steals (scan only)
   double explore_seconds = 0.0;       ///< state-graph exploration
   double label_seconds = 0.0;         ///< atom labelling of the state graph
   double compile_seconds = 0.0;       ///< routing: classification, normalization, compilation
@@ -126,14 +120,7 @@ struct CheckOptions {
   /// run fully sequential and deterministic; with more threads, results and
   /// merged diagnostics still come back in spec order.
   unsigned threads = 1;
-  /// Worker threads for one check's exploration (docs/PARALLEL.md),
-  /// orthogonal to the per-spec `threads` above. With explore_threads > 1
-  /// the state-graph exploration fans out over a work-stealing frontier and
-  /// safety-prefix scans run the parallel reachability scan; ω-products are
-  /// still searched on one thread. Verdicts, counterexample validity, and
-  /// budget-exhausted diagnostics are independent of this setting (a
-  /// violating scan under a biting state cap may report a different —
-  /// equally valid — witness).
+  /// ignored; delete at the next benchmark revision
   unsigned explore_threads = 1;
   /// Skip class dispatch and the static prover: every spec goes through
   /// the general ω-product search. Serve keys its verdict cache on it, and

@@ -1,15 +1,9 @@
 #include "src/fts/fts.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <exception>
-#include <mutex>
-#include <thread>
 
-#include "src/support/concurrent_interner.hpp"
 #include "src/support/flat_hash.hpp"
-#include "src/support/work_queue.hpp"
 
 namespace mph::fts {
 
@@ -96,8 +90,7 @@ Valuation StateGraph::valuation(std::size_t n) const {
 }
 
 /// Writes StateGraph's packed layout: the field table, node rows, the CSR
-/// and the enabled bit rows. Both explorers build through it, so a complete
-/// graph has one representation whichever path produced it.
+/// and the enabled bit rows. explore() builds every graph through it.
 class GraphBuilder {
  public:
   using Row = const std::uint64_t*;
@@ -150,11 +143,6 @@ class GraphBuilder {
     g_.stutter_.push_back(0);
     return id;
   }
-  std::uint32_t add_node(const Valuation& v, int last) {
-    scratch_.resize(g_.words_);
-    pack(v, last, scratch_.data());
-    return add_node(scratch_.data());
-  }
 
   Row row(std::size_t n) const { return g_.rows_.data() + n * g_.words_; }
 
@@ -189,8 +177,6 @@ class GraphBuilder {
     g_.offsets_.resize(g_.size() + 1, g_.edges_.size());
   }
 
-  static ExploreResult sequential(const Fts& sys, const Budget& budget);
-
   /// The guard of t on v, and t's effect in place without re-evaluating it.
   bool guard(std::size_t t, const Valuation& v) const { return sys_.transitions_[t].guard(v); }
   void step(std::size_t t, Valuation& v) const { sys_.step(t, v); }
@@ -202,7 +188,6 @@ class GraphBuilder {
 
   const Fts& sys_;
   StateGraph& g_;
-  std::vector<std::uint64_t> scratch_;
 };
 
 namespace {
@@ -269,7 +254,7 @@ class RowIndex {
 /// BFS in id order — the next node to expand is the next id, so the graph's
 /// own node list is the queue. Each enabled guard is evaluated once; two
 /// scratch valuations and one scratch row are reused across every node.
-ExploreResult GraphBuilder::sequential(const Fts& sys, const Budget& budget) {
+ExploreResult explore(const Fts& sys, const Budget& budget) {
   ExploreResult res;
   GraphBuilder b(sys, res.graph);
   RowIndex index;
@@ -312,200 +297,6 @@ ExploreResult GraphBuilder::sequential(const Fts& sys, const Budget& budget) {
     b.close(n);
   }
   return res;
-}
-
-ExploreResult explore(const Fts& system, const Budget& budget) {
-  return GraphBuilder::sequential(system, budget);
-}
-
-namespace {
-
-/// Hash of a (valuation, last-taken) state-graph key.
-struct NodeKeyHash {
-  std::uint64_t operator()(const std::pair<Valuation, int>& k) const {
-    return hash_combine(hash_range(k.first),
-                        static_cast<std::uint64_t>(static_cast<std::int64_t>(k.second)));
-  }
-};
-
-/// One frontier entry of the parallel exploration: the node's id, valuation
-/// and discovering transition travel together, so expansion never needs a
-/// reverse lookup into the interner.
-struct ExploreItem {
-  std::uint32_t id = 0;
-  Valuation valuation;
-  int last = StateGraph::kNone;
-};
-
-/// Everything a worker learns expanding one node. Merged single-threaded
-/// after the join; ids are renumbered into BFS discovery order afterwards.
-struct ExpandedNode {
-  std::uint32_t id = 0;
-  int last = StateGraph::kNone;
-  Valuation valuation;
-  std::vector<StateGraph::Edge> edges;  // interner ids; no stutter loop
-  std::vector<std::uint32_t> enabled;   // transitions enabled here
-};
-
-/// Copies a worker record's edges and enabled set into node n, mapping
-/// interner ids through id_of, and closes n.
-template <class IdOf>
-void add_expansion(GraphBuilder& b, std::size_t n, const ExpandedNode& r, IdOf&& id_of) {
-  for (std::uint32_t t : r.enabled) b.set_enabled(n, t);
-  for (const StateGraph::Edge& e : r.edges) b.add_edge(id_of(e.target), e.transition);
-  b.close(n);
-}
-
-/// Renumbers a complete parallel exploration into the sequential id order:
-/// BFS from node 0 following each node's edges in recorded (transition)
-/// order assigns ids exactly as the sequential explorer's FIFO interning
-/// does, so the rebuilt StateGraph is identical field-for-field.
-void renumber_bfs(std::vector<ExpandedNode>& recs, GraphBuilder& b) {
-  constexpr std::uint32_t kUnseen = ~std::uint32_t{0};
-  const std::size_t n = recs.size();
-  std::vector<ExpandedNode*> by_id(n, nullptr);
-  for (ExpandedNode& r : recs) by_id[r.id] = &r;
-  std::vector<std::uint32_t> newid(n, kUnseen);
-  std::vector<std::uint32_t> order;
-  order.reserve(n);
-  newid[0] = 0;
-  order.push_back(0);
-  for (std::size_t i = 0; i < order.size(); ++i)
-    for (const StateGraph::Edge& e : by_id[order[i]]->edges)
-      if (newid[e.target] == kUnseen) {
-        newid[e.target] = static_cast<std::uint32_t>(order.size());
-        order.push_back(e.target);
-      }
-  MPH_ASSERT(order.size() == n);  // a BFS graph is connected from the root
-  for (std::uint32_t old : order) b.add_node(by_id[old]->valuation, by_id[old]->last);
-  for (std::size_t i = 0; i < n; ++i)
-    add_expansion(b, i, *by_id[order[i]], [&](std::uint32_t id) { return newid[id]; });
-}
-
-ExploreResult explore_parallel(const Fts& system, const Budget& budget, unsigned threads) {
-  ExploreResult res;
-  GraphBuilder b(system, res.graph);
-  res.stats.threads_used = threads;
-  res.stats.worker_nodes.assign(threads, 0);
-  res.stats.worker_steals.assign(threads, 0);
-  const std::size_t cap = budget.state_cap();
-  if (cap == 0) {
-    res.outcome = Outcome::BudgetStates;
-    return res;
-  }
-
-  ConcurrentInterner<std::pair<Valuation, int>, NodeKeyHash> index;
-  WorkStealingQueues<ExploreItem> queues(threads);
-  std::atomic<Outcome> stop{Outcome::Complete};
-  auto request_stop = [&](Outcome o) {
-    Outcome expected = Outcome::Complete;
-    stop.compare_exchange_strong(expected, o, std::memory_order_acq_rel);
-  };
-  std::vector<std::vector<ExpandedNode>> recs(threads);
-  std::mutex error_mu;
-  std::exception_ptr error;
-
-  {
-    Valuation v0 = system.initial_valuation();
-    auto [id0, fresh] = index.intern({v0, StateGraph::kNone});
-    MPH_ASSERT(fresh && id0 == 0);
-    queues.push(0, ExploreItem{id0, std::move(v0), StateGraph::kNone});
-  }
-
-  auto worker = [&](unsigned w) {
-    std::uint64_t steps = 0;
-    ExploreItem item;
-    try {
-      for (;;) {
-        if (stop.load(std::memory_order_relaxed) != Outcome::Complete) return;
-        if (!queues.pop(w, item)) {
-          if (queues.idle()) return;
-          std::this_thread::yield();
-          continue;
-        }
-        if ((++steps & 0x3FFu) == 0)
-          if (Outcome o = budget.poll(); !is_complete(o)) request_stop(o);
-        ExpandedNode rec;
-        rec.id = item.id;
-        rec.last = item.last;
-        rec.valuation = std::move(item.valuation);
-        const Valuation& v = rec.valuation;
-        for (std::size_t t = 0; t < system.transition_count(); ++t) {
-          if (!b.guard(t, v)) continue;
-          rec.enabled.push_back(static_cast<std::uint32_t>(t));
-          Valuation next = v;
-          b.step(t, next);
-          auto [gid, inserted] = index.intern({next, static_cast<int>(t)});
-          if (inserted) {
-            if (gid >= cap) {
-              // Ids are handed out densely, so the first id at the cap means
-              // exactly `cap` nodes 0..cap-1 exist — the sequential count.
-              request_stop(Outcome::BudgetStates);
-              continue;  // the overflow node is never recorded anywhere
-            }
-            queues.push(w, ExploreItem{gid, std::move(next), static_cast<int>(t)});
-          }
-          if (gid < cap)
-            rec.edges.push_back(
-                {static_cast<std::uint32_t>(gid), static_cast<std::uint32_t>(t)});
-        }
-        recs[w].push_back(std::move(rec));
-        res.stats.worker_nodes[w]++;
-        queues.done();
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (!error) error = std::current_exception();
-      request_stop(Outcome::Cancelled);
-    }
-  };
-  {
-    std::vector<std::jthread> pool;
-    pool.reserve(threads);
-    for (unsigned w = 0; w < threads; ++w) pool.emplace_back(worker, w);
-  }
-  if (error) std::rethrow_exception(error);
-  for (unsigned w = 0; w < threads; ++w) res.stats.worker_steals[w] = queues.stolen(w);
-  res.outcome = stop.load(std::memory_order_acquire);
-
-  std::vector<ExpandedNode> all;
-  all.reserve(index.size());
-  for (auto& r : recs) {
-    std::move(r.begin(), r.end(), std::back_inserter(all));
-    r.clear();
-  }
-  if (is_complete(res.outcome)) {
-    MPH_ASSERT(all.size() == index.size());  // every discovered node expanded
-    renumber_bfs(all, b);
-    return res;
-  }
-
-  // Partial graph: keep the interner's arbitrary ids (the contract promises
-  // only node counts here — docs/PARALLEL.md). Unexpanded frontier items
-  // still become nodes, so the count matches the sequential stop point; the
-  // expanded ones keep their edges while they form a prefix of the ids.
-  const std::size_t n = index.size() > cap ? cap : index.size();
-  const std::size_t expanded = all.size();
-  queues.drain([&](ExploreItem& item) {
-    all.push_back({item.id, item.last, std::move(item.valuation), {}, {}});
-  });
-  std::vector<const ExpandedNode*> by_id(n, nullptr);
-  for (const ExpandedNode& rec : all) by_id[rec.id] = &rec;
-  for (const ExpandedNode* rec : by_id) {
-    MPH_ASSERT(rec != nullptr);  // every id below the cap was queued
-    b.add_node(rec->valuation, rec->last);
-  }
-  for (std::size_t i = 0; i < n && by_id[i] < all.data() + expanded; ++i)
-    add_expansion(b, i, *by_id[i], [](std::uint32_t id) { return id; });
-  b.close_partial();
-  return res;
-}
-
-}  // namespace
-
-ExploreResult explore(const Fts& system, const Budget& budget, unsigned threads) {
-  if (threads <= 1) return explore(system, budget);
-  return explore_parallel(system, budget, threads);
 }
 
 AtomFn var_equals(const Fts& system, std::string_view var, int value) {

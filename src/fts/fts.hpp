@@ -150,14 +150,6 @@ class StateGraph {
   std::vector<std::uint8_t> stutter_;       // size()
 };
 
-/// Telemetry from one exploration (docs/PARALLEL.md). The per-worker
-/// vectors are empty on the sequential path.
-struct ExploreStats {
-  unsigned threads_used = 1;
-  std::vector<std::size_t> worker_nodes;   ///< nodes expanded per worker
-  std::vector<std::size_t> worker_steals;  ///< frontier items stolen per worker
-};
-
 /// A possibly-partial exploration. When `outcome` is not Complete the graph
 /// stopped mid-BFS: already-discovered nodes may still have no edges and an
 /// all-clear enabled row, so the graph is NOT suitable for checking —
@@ -165,22 +157,12 @@ struct ExploreStats {
 struct ExploreResult {
   StateGraph graph;
   Outcome outcome = Outcome::Complete;
-  ExploreStats stats;
 };
 
 /// Budget-governed BFS exploration: stops at the budget's state cap /
 /// deadline / cancellation and reports how far it got (docs/BUDGETS.md).
 /// Domain violations still throw std::invalid_argument.
 ExploreResult explore(const Fts& system, const Budget& budget);
-
-/// Parallel exploration on `threads` workers over a work-stealing frontier
-/// (docs/PARALLEL.md). A complete graph is identical to the sequential one —
-/// node ids are renumbered post-merge into BFS discovery order, so replay,
-/// diagnostics and downstream products do not depend on the thread count.
-/// Under a state cap both variants stop at exactly the cap's node count (the
-/// partial *frontier* may differ; partial graphs are only ever counted).
-/// threads <= 1 takes exactly the sequential code path.
-ExploreResult explore(const Fts& system, const Budget& budget, unsigned threads);
 
 /// Atomic state predicate over (valuation, last-taken transition).
 using AtomFn = std::function<bool(const Fts&, const Valuation&, int last_taken)>;

@@ -469,14 +469,14 @@ CheckOutcome check_ltl_eval(const FuzzCase& c, const Budget& budget) {
 }
 
 // ------------------------------------------------------------------------
-// fts-engines: the checker against an independent reference on the same
-// system and spec, with counterexamples replayed under the independent lasso
-// evaluator. The reference shares none of the checker's exploration or
-// search: it builds the state graph with its own naive explorer (checked
-// node-for-node against fts::explore first), derives the fairness marks
-// straight from the Fts API, materializes the whole reachable (node × ¬spec)
-// product as a MarkedGraph, and asks the offline good-loop search in
-// src/omega.
+// fts-engines: the checker, with class dispatch off and on, against an
+// independent reference on the same system and spec, with counterexamples
+// replayed under the independent lasso evaluator. The reference shares none
+// of the checker's exploration or search: it builds the state graph with its
+// own naive explorer (checked node-for-node against fts::explore first),
+// derives the fairness marks straight from the Fts API, materializes the
+// whole reachable (node × ¬spec) product as a MarkedGraph, and asks the
+// offline good-loop search in src/omega.
 
 FuzzCase gen_fts_engines(Rng& rng) {
   FuzzCase c;
@@ -498,25 +498,21 @@ FuzzCase gen_fts_engines(Rng& rng) {
   return c;
 }
 
-/// The naive reference graph of sys, after checking fts::explore on each of
-/// `threads` against it node-for-node. `ref` stays empty when either side
-/// ran out of budget; a failure names the first difference.
+/// The naive reference graph of sys, after checking fts::explore against it
+/// node-for-node. `ref` stays empty when either side ran out of budget; a
+/// failure names the first difference.
 std::optional<CheckOutcome> explore_against_reference(const fts::Fts& sys,
                                                       const Budget& budget,
-                                                      std::initializer_list<unsigned> threads,
                                                       std::optional<ReferenceGraph>& ref) {
   ref = reference_explore(sys, budget);
   if (!ref) return std::nullopt;
-  for (unsigned n : threads) {
-    const fts::ExploreResult ex = fts::explore(sys, budget, n);
-    if (!is_complete(ex.outcome)) {
-      ref.reset();
-      return std::nullopt;
-    }
-    if (auto why = graph_mismatch(sys, *ref, ex.graph))
-      return CheckOutcome::fail("explore on " + std::to_string(n) +
-                                " thread(s) and the reference explorer disagree: " + *why);
+  const fts::ExploreResult ex = fts::explore(sys, budget);
+  if (!is_complete(ex.outcome)) {
+    ref.reset();
+    return std::nullopt;
   }
+  if (auto why = graph_mismatch(sys, *ref, ex.graph))
+    return CheckOutcome::fail("explore and the reference explorer disagree: " + *why);
   return std::nullopt;
 }
 
@@ -663,13 +659,16 @@ CheckOutcome check_fts_engines(const FuzzCase& c, const Budget& budget) {
   options.budget = oracle_budget(budget);
   const auto batch = fts::check_all(sys, {spec}, atoms, options)[0];
   const auto single = fts::check(sys, spec, atoms, options);
+  fts::CheckOptions dispatch_options = options;
+  dispatch_options.class_dispatch = true;
+  const auto dispatched = fts::check(sys, spec, atoms, dispatch_options);
   std::optional<ReferenceGraph> graph;
-  if (auto failed = explore_against_reference(sys, options.budget, {1}, graph)) return *failed;
+  if (auto failed = explore_against_reference(sys, options.budget, graph)) return *failed;
   const auto reference = reference_holds(sys, graph, spec, atoms, options.budget);
   // Outcomes come first: under a deadline one side can complete while the
   // other runs out, so differing verdicts with a non-Complete outcome are
   // budget exhaustion, not a discrepancy.
-  const Outcome agg = worst(batch.outcome, single.outcome);
+  const Outcome agg = worst(worst(batch.outcome, single.outcome), dispatched.outcome);
   if (!is_complete(agg) || !reference)
     return CheckOutcome::exhausted(
         "engine budget exhausted (" +
@@ -680,77 +679,12 @@ CheckOutcome check_fts_engines(const FuzzCase& c, const Budget& budget) {
                               verdict_of(*reference) + ")");
   if (single.holds != batch.holds)
     return CheckOutcome::fail("check and check_all disagree on '" + c.formulas[0] + "'");
-  for (const auto* r : {&batch, &single})
+  if (dispatched.holds != batch.holds)
+    return CheckOutcome::fail("class dispatch and the SCC engine disagree on '" +
+                              c.formulas[0] + "' (" + verdict_of(dispatched.holds) + " vs " +
+                              verdict_of(batch.holds) + ")");
+  for (const auto* r : {&batch, &single, &dispatched})
     if (auto why = replay_failure(sys, atoms, spec, *r)) return CheckOutcome::fail(*why);
-  return CheckOutcome::pass();
-}
-
-// ------------------------------------------------------------------------
-// fts-engines-parallel: the checker at explore_threads 1 and 3 (parallel
-// exploration and the parallel safety scan, docs/PARALLEL.md), each with
-// class dispatch off and on, against the same materialized reference, with
-// every counterexample replayed under the independent lasso evaluator. Both
-// explorers are first checked node-for-node against the reference graph.
-
-FuzzCase gen_fts_engines_parallel(Rng& rng) {
-  FuzzCase c = gen_fts_engines(rng);
-  c.oracle = "fts-engines-parallel";
-  return c;
-}
-
-CheckOutcome check_fts_engines_parallel(const FuzzCase& c, const Budget& budget) {
-  if (!c.system || c.formulas.empty()) return CheckOutcome::skip("needs a system and a spec");
-  const fts::Fts sys = c.system->build();
-  const fts::AtomMap atoms = c.system->atoms();
-  const ltl::Formula spec = ltl::parse_formula(c.formulas[0]);
-  struct Leg {
-    unsigned threads;
-    bool dispatch;
-    fts::CheckResult r;
-  };
-  std::vector<Leg> legs;
-  Outcome agg = Outcome::Complete;
-  const Budget capped = oracle_budget(budget);
-  for (bool dispatch : {false, true})
-    for (unsigned threads : {1u, 3u}) {
-      fts::CheckOptions options;
-      options.budget = capped;
-      options.explore_threads = threads;
-      options.class_dispatch = dispatch;
-      legs.push_back({threads, dispatch, fts::check(sys, spec, atoms, options)});
-      agg = worst(agg, legs.back().r.outcome);
-    }
-  std::optional<ReferenceGraph> graph;
-  if (auto failed = explore_against_reference(sys, capped, {1, 3}, graph)) return *failed;
-  const auto reference = reference_holds(sys, graph, spec, atoms, capped);
-  // Outcomes come first: under a deadline one run can complete while another
-  // runs out, so differing verdicts with a non-Complete outcome are budget
-  // exhaustion, not a discrepancy.
-  if (!is_complete(agg) || !reference)
-    return CheckOutcome::exhausted(
-        "engine budget exhausted (" +
-        std::string(to_string(reference ? agg : worst(agg, Outcome::BudgetStates))) + ")");
-  for (const Leg& leg : legs) {
-    const std::string where = "explore_threads " + std::to_string(leg.threads) +
-                              (leg.dispatch ? " with class dispatch" : "");
-    if (leg.r.holds != *reference)
-      return CheckOutcome::fail(where + " disagrees with the materialized reference on '" +
-                                c.formulas[0] + "' (" + verdict_of(leg.r.holds) + " vs " +
-                                verdict_of(*reference) + ")");
-    if (auto why = replay_failure(sys, atoms, spec, leg.r)) return CheckOutcome::fail(*why);
-  }
-  // A holding verdict needs the full product closure on every schedule, so
-  // the pair count is thread-count independent (docs/PARALLEL.md).
-  for (std::size_t i = 0; i + 1 < legs.size(); i += 2) {
-    const fts::CheckResult& one = legs[i].r;
-    const fts::CheckResult& three = legs[i + 1].r;
-    if (one.holds && one.stats.engine == three.stats.engine &&
-        one.stats.product_states != three.stats.product_states)
-      return CheckOutcome::fail("product size differs across thread counts on holding '" +
-                                c.formulas[0] + "' (" +
-                                std::to_string(one.stats.product_states) + " vs " +
-                                std::to_string(three.stats.product_states) + ")");
-  }
   return CheckOutcome::pass();
 }
 
@@ -1241,13 +1175,9 @@ std::vector<Oracle>& mutable_registry() {
        gen_ltl_eval, check_ltl_eval},
       {"fts-engines",
        "explore vs a naive reference explorer node-for-node, then the model checker "
-       "vs a materialized product decided by omega::find_good_loop, with "
-       "counterexample replay",
+       "(class dispatch off and on) vs a materialized product decided by "
+       "omega::find_good_loop, with counterexample replay",
        gen_fts_engines, check_fts_engines},
-      {"fts-engines-parallel",
-       "explore_threads 1 and 3, class dispatch off and on, vs the materialized "
-       "reference, with counterexample replay",
-       gen_fts_engines_parallel, check_fts_engines_parallel},
       {"vacuity-antecedent",
        "MPH-Y002 antecedent labeling vs safety-prefix and ω-product checks of G ¬p",
        gen_vacuity_antecedent, check_vacuity_antecedent},

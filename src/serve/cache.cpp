@@ -46,7 +46,6 @@ std::uint64_t options_digest(const fts::CheckOptions& options) {
   std::uint64_t h = fnv1a64("opts:");
   h = fnv1a64_mix(options.force_scc ? 1 : 0, h);
   h = fnv1a64_mix(options.class_dispatch ? 1 : 0, h);
-  h = fnv1a64_mix(options.explore_threads, h);
   h = fnv1a64_mix(options.normalize_steps, h);
   return h;
 }

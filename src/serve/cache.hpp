@@ -17,9 +17,9 @@
 // The formula digest is taken over the *canonical* printing
 // (ltl::Formula::to_string of the parsed AST), so "G  p" and "G p" share
 // one entry. The engine-options digest covers exactly the knobs that select
-// the verdict's engine route (force_scc, class_dispatch, explore_threads,
-// normalize_steps) — variants are keyed separately even though their
-// verdicts must agree, because their CheckStats legitimately differ.
+// the verdict's engine route (force_scc, class_dispatch, normalize_steps) —
+// variants are keyed separately even though their verdicts must agree,
+// because their CheckStats legitimately differ.
 //
 // Invalidation is structural: a model delta changes the model digest, so
 // every untouched (model, spec) pair keeps hitting while the delta's pairs

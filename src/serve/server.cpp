@@ -274,10 +274,6 @@ fts::CheckOptions Server::check_options(const Json& request, const Budget& budge
     options.threads = static_cast<unsigned>(std::min<std::uint64_t>(
         std::max<std::uint64_t>(as_u64_field(*threads, "threads"), 1),
         config_.max_threads));
-  if (const Json* explore = request.find("explore_threads"))
-    options.explore_threads = static_cast<unsigned>(std::min<std::uint64_t>(
-        std::max<std::uint64_t>(as_u64_field(*explore, "explore_threads"), 1),
-        config_.max_threads));
   if (const Json* force = request.find("force_scc")) options.force_scc = force->as_bool();
   if (const Json* dispatch = request.find("class_dispatch"))
     options.class_dispatch = dispatch->as_bool();
@@ -614,8 +610,7 @@ Json Server::handle_check(const Json& request) {
           .field("product_states",
                  static_cast<std::uint64_t>(entry.stats.product_states))
           .field("automaton_states",
-                 static_cast<std::uint64_t>(entry.stats.automaton_states))
-          .field("threads_used", static_cast<std::uint64_t>(entry.stats.threads_used));
+                 static_cast<std::uint64_t>(entry.stats.automaton_states));
       if (entry.has_counterexample)
         w.field("counterexample", JsonWriter()
                                       .field("prefix", entry.cex_prefix)
@@ -631,8 +626,7 @@ Json Server::handle_check(const Json& request) {
           .field("class_source", to_string(r.stats.class_source))
           .field("product_states", static_cast<std::uint64_t>(r.stats.product_states))
           .field("automaton_states",
-                 static_cast<std::uint64_t>(r.stats.automaton_states))
-          .field("threads_used", static_cast<std::uint64_t>(r.stats.threads_used));
+                 static_cast<std::uint64_t>(r.stats.automaton_states));
       if (r.counterexample)
         w.field("counterexample",
                 JsonWriter()

@@ -40,7 +40,7 @@ struct ServerConfig {
   /// Ceiling on any request's wall-clock allowance in ms (0 = no server
   /// deadline; requests may still set their own).
   std::uint64_t max_budget_ms = 0;
-  /// Ceiling on `threads` / `explore_threads` a request may ask for.
+  /// Ceiling on `threads` a request may ask for.
   unsigned max_threads = 8;
   /// Additional base budget every admitted request inherits (state cap,
   /// deadline, and stop token all combine by taking the tighter value).

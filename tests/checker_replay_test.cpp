@@ -18,8 +18,9 @@ using programs::Program;
 /// Replays a counterexample into the atom word and checks that the word
 /// falsifies the spec. Valid only for atoms that ignore last_taken (all the
 /// location atoms of the program library do).
-void expect_genuine_counterexample(const Program& prog, const ltl::Formula& spec) {
-  auto result = check(prog.system, spec, prog.atoms);
+void expect_genuine_counterexample(const Program& prog, const ltl::Formula& spec,
+                                   const CheckOptions& options = {}) {
+  auto result = check(prog.system, spec, prog.atoms, options);
   ASSERT_FALSE(result.holds) << spec.to_string();
   ASSERT_TRUE(result.counterexample.has_value());
   const auto& cex = *result.counterexample;
@@ -67,6 +68,15 @@ TEST(CheckerReplay, DiningPhilosophersDeadlock) {
                                 parse_formula("G !deadlock"));
   expect_genuine_counterexample(programs::dining_philosophers(3),
                                 parse_formula("G(hungry1 -> F eat1)"));
+  // The closed-prefix scan's bad prefix, extended into a full computation.
+  CheckOptions dispatch;
+  dispatch.class_dispatch = true;
+  expect_genuine_counterexample(programs::dining_philosophers(3), parse_formula("G !deadlock"),
+                                dispatch);
+}
+
+TEST(CheckerReplay, RingLeaderEarlyExit) {
+  expect_genuine_counterexample(programs::ring_leader(4), parse_formula("G !quiet"));
 }
 
 TEST(CheckerReplay, NbaFallbackCounterexamples) {

@@ -2,10 +2,10 @@
 // ⌈log₂(hi−lo+1)⌉ bits per variable plus the last-taken field, rows wider
 // than one word, more than 64 transitions, and the domain check that keeps
 // packed states from aliasing.
-// Every case compares fts::explore — sequential and on 3 workers — against
-// the naive std::map reference explorer node-for-node. Labeled
-// `graph-layout` so the sanitizer lane runs it: a packing bug is a shift
-// width or out-of-bounds index that UBSan and ASan report.
+// Every case compares fts::explore against the naive std::map reference
+// explorer node-for-node. Labeled `graph-layout` so the sanitizer lane runs
+// it: a packing bug is a shift width or out-of-bounds index that UBSan and
+// ASan report.
 #include <gtest/gtest.h>
 
 #include <climits>
@@ -17,16 +17,14 @@
 namespace mph::fts {
 namespace {
 
-/// explore on 1 and 3 threads agrees with the reference on every node.
+/// explore agrees with the reference on every node.
 void expect_matches_reference(const Fts& sys) {
   const auto ref = fuzz::reference_explore(sys, Budget());
   ASSERT_TRUE(ref.has_value());
-  for (unsigned threads : {1u, 3u}) {
-    const ExploreResult ex = explore(sys, Budget(), threads);
-    ASSERT_TRUE(is_complete(ex.outcome));
-    const auto why = fuzz::graph_mismatch(sys, *ref, ex.graph);
-    EXPECT_FALSE(why.has_value()) << threads << " thread(s): " << why.value_or("");
-  }
+  const ExploreResult ex = explore(sys, Budget());
+  ASSERT_TRUE(is_complete(ex.outcome));
+  const auto why = fuzz::graph_mismatch(sys, *ref, ex.graph);
+  EXPECT_FALSE(why.has_value()) << why.value_or("");
 }
 
 TEST(PackedGraph, NegativeLowerBound) {
@@ -188,7 +186,6 @@ TEST(PackedGraph, DomainViolationThrowsOnEveryPath) {
       "boom", Fairness::None, [](const Valuation&) { return true; },
       [x](Valuation& v) { v[x] = 2; });
   EXPECT_THROW(explore(s, Budget()), std::invalid_argument);
-  EXPECT_THROW(explore(s, Budget(), 3), std::invalid_argument);
   EXPECT_THROW(fuzz::reference_explore(s, Budget()), std::invalid_argument);
 }
 
@@ -199,7 +196,6 @@ TEST(PackedGraph, ResizingEffectThrows) {
       "grow", Fairness::None, [](const Valuation&) { return true; },
       [](Valuation& v) { v.push_back(0); });
   EXPECT_THROW(explore(s, Budget()), std::invalid_argument);
-  EXPECT_THROW(explore(s, Budget(), 3), std::invalid_argument);
 }
 
 }  // namespace

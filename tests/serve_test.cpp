@@ -74,11 +74,11 @@ TEST(ServeDigest, OptionsDigestKeysEngineRoutes) {
   fts::CheckOptions scc = base;
   scc.force_scc = true;
   fts::CheckOptions par = base;
-  par.explore_threads = 2;
+  par.explore_threads = 2;  // a no-op: it selects no engine route
   fts::CheckOptions dispatch = base;
   dispatch.class_dispatch = true;
   EXPECT_NE(options_digest(base), options_digest(scc));
-  EXPECT_NE(options_digest(base), options_digest(par));
+  EXPECT_EQ(options_digest(base), options_digest(par));
   EXPECT_NE(options_digest(base), options_digest(dispatch));
   EXPECT_NE(options_digest(scc), options_digest(par));
 }
@@ -136,15 +136,17 @@ TEST(ServeServer, EngineOptionVariantsAreKeyedSeparately) {
       R"js({"op":"check","model":"peterson","specs":["G !(c1 & c2)"],"explore_threads":2})js"));
   EXPECT_EQ(field(*result0(scc), "cache"), "miss")
       << "force_scc must not be served from the default route's entry";
-  EXPECT_EQ(field(*result0(par), "cache"), "miss")
-      << "explore_threads must not be served from the default route's entry";
-  // Three distinct cache keys, one verdict.
-  EXPECT_EQ(server.verdict_cache().size(), 3u);
+  // explore_threads is not a request key: ignored like any other unknown
+  // key, so the request is the plain one and hits its entry.
+  EXPECT_EQ(field(*result0(par), "cache"), "hit")
+      << "explore_threads must be served from the default route's entry";
+  // Two distinct cache keys, one verdict.
+  EXPECT_EQ(server.verdict_cache().size(), 2u);
   EXPECT_EQ(field(*result0(plain), "verdict"), "holds");
   EXPECT_EQ(field(*result0(scc), "verdict"), "holds");
   EXPECT_EQ(field(*result0(par), "verdict"), "holds");
   EXPECT_NE(field(plain, "options_digest"), field(scc, "options_digest"));
-  EXPECT_NE(field(plain, "options_digest"), field(par, "options_digest"));
+  EXPECT_EQ(field(plain, "options_digest"), field(par, "options_digest"));
 }
 
 TEST(ServeServer, DuplicateSpecsInOneBatchShareOneComputation) {

@@ -81,11 +81,6 @@ int usage(std::ostream& out, int code) {
          "  --check FORMULA model-check FORMULA against the --model (repeatable);\n"
          "                  prints a table of engine statistics per spec\n"
          "  --threads N     worker threads for --check batches (default 1)\n"
-         "  --explore-threads N\n"
-         "                  worker threads inside one check: parallel state-graph\n"
-         "                  exploration and the parallel safety-prefix scan; the\n"
-         "                  SCC search stays on one thread (docs/PARALLEL.md;\n"
-         "                  default 1)\n"
          "  --budget-states N\n"
          "                  state cap per --check construction (default 200000); an\n"
          "                  exhausted check reports outcome budget-states (MPH-V004)\n"
@@ -187,7 +182,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> model_names;
   std::vector<std::string> check_formulas;
   unsigned check_threads = 1;
-  unsigned explore_threads = 1;
   std::size_t budget_states = 0;
   std::uint64_t budget_ms = 0;
   bool all_models = false, json = false, quiet = false, werror = false;
@@ -232,8 +226,6 @@ int main(int argc, char** argv) {
       check_formulas.push_back(next("--check"));
     } else if (arg == "--threads") {
       check_threads = static_cast<unsigned>(next_num("--threads", 1024));
-    } else if (arg == "--explore-threads") {
-      explore_threads = static_cast<unsigned>(next_num("--explore-threads", 1024));
     } else if (arg == "--budget-states") {
       budget_states = next_num("--budget-states", UINT64_MAX);
     } else if (arg == "--budget-ms") {
@@ -409,7 +401,6 @@ int main(int argc, char** argv) {
         for (const auto& text : check_formulas) specs.push_back(ltl::parse_formula(text));
         fts::CheckOptions copts;
         copts.threads = check_threads;
-        copts.explore_threads = explore_threads;
         copts.diagnostics = &engine;
         copts.class_dispatch = dispatch_check;
         if (sym) copts.static_prover = analysis::make_static_prover(*sym);
@@ -420,8 +411,8 @@ int main(int argc, char** argv) {
         for (const auto& r : results)
           if (!is_complete(r.outcome)) unknown_seen = true;
         if (!json && !quiet) {
-          TextTable t({"spec", "verdict", "outcome", "engine", "threads", "automaton",
-                       "product", "bound", "search s"});
+          TextTable t({"spec", "verdict", "outcome", "engine", "automaton", "product",
+                       "bound", "search s"});
           for (std::size_t i = 0; i < results.size(); ++i) {
             const auto& s = results[i].stats;
             std::ostringstream secs;
@@ -433,9 +424,8 @@ int main(int argc, char** argv) {
             t.add_row({check_formulas[i], verdict,
                        std::string(to_string(results[i].outcome)),
                        std::string(to_string(s.engine)) + (s.nba_fallback ? " (NBA)" : ""),
-                       std::to_string(s.threads_used), std::to_string(s.automaton_states),
-                       std::to_string(s.product_states), std::to_string(s.product_bound),
-                       secs.str()});
+                       std::to_string(s.automaton_states), std::to_string(s.product_states),
+                       std::to_string(s.product_bound), secs.str()});
           }
           std::cout << "== check against model '" << name << "' ("
                     << (results.empty() ? 0 : results[0].stats.state_graph_nodes)
@@ -461,7 +451,6 @@ int main(int argc, char** argv) {
 
         fts::CheckOptions copts;
         copts.threads = check_threads;
-        copts.explore_threads = explore_threads;
         if (budget_states > 0) copts.budget.with_state_cap(budget_states);
         if (budget_ms > 0)
           copts.budget.with_deadline_after(std::chrono::milliseconds(budget_ms));

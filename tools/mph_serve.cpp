@@ -52,7 +52,7 @@ int usage(std::ostream& out, int code) {
          "  --max-budget-states N ceiling on any request's state cap (default 200000)\n"
          "  --max-budget-ms N     ceiling on any request's wall-clock budget in ms\n"
          "                        (default 0 = requests may run undeadlined)\n"
-         "  --max-threads N       ceiling on requested threads/explore_threads (default 8)\n"
+         "  --max-threads N       ceiling on requested threads (default 8)\n"
          "  --no-cache            disable the verdict cache\n"
          "  --no-subsume          disable cross-spec verdict sharing via language\n"
          "                        inclusion (docs/SERVE.md)\n"
