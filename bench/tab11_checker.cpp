@@ -111,14 +111,17 @@ std::vector<MatrixRow> run_matrix() {
   return rows;
 }
 
-/// 2. Early exit on seeded violating models: the on-the-fly SCC search must
-/// stop strictly below the full product bound, with a genuine trace.
+/// 2. Early exit on seeded violating models: the on-the-fly SCC search
+/// (pinned by force_scc) must stop strictly below the full product bound,
+/// with a genuine trace.
 std::vector<EarlyExitRow> run_early_exit() {
   std::vector<EarlyExitRow> rows;
+  fts::CheckOptions scc;
+  scc.force_scc = true;
   auto run = [&](const std::string& model, Program prog, const std::string& spec_text,
                  bool expect_fallback) {
     auto spec = ltl::parse_formula(spec_text);
-    auto result = fts::check(prog.system, spec, prog.atoms);
+    auto result = fts::check(prog.system, spec, prog.atoms, scc);
     const auto& s = result.stats;
     BENCH_CHECK(!result.holds, ("seeded violation found on " + model).c_str());
     BENCH_CHECK(s.engine == fts::CheckEngine::Scc, ("SCC search used on " + model).c_str());

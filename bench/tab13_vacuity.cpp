@@ -68,7 +68,7 @@ struct Run {
 Run run_vacuity(const Program& prog, const std::vector<ltl::Formula>& specs, bool dispatch,
                 int repeats) {
   analysis::VacuityOptions opts;
-  opts.class_dispatch = dispatch;
+  opts.check.force_scc = !dispatch;
   Run run;
   run.seconds = best_seconds(repeats, [&] {
     analysis::DiagnosticEngine diag;
@@ -177,14 +177,14 @@ void bench_vacuity_dispatch(benchmark::State& state) {
   Program prog = fts::programs::semaphore_mutex(n, fts::Fairness::Weak);
   const auto specs = mutex_family(n);
   analysis::VacuityOptions opts;
-  opts.class_dispatch = state.range(1) != 0;
+  opts.check.force_scc = state.range(1) == 0;
   for (auto _ : state) {
     analysis::DiagnosticEngine diag;
     benchmark::DoNotOptimize(
         analysis::analyze_vacuity(prog.system, specs, prog.atoms, diag, opts));
   }
   state.SetLabel("processes=" + std::to_string(n) +
-                 (opts.class_dispatch ? " dispatch" : " full"));
+                 (opts.check.force_scc ? " full" : " dispatch"));
 }
 BENCHMARK(bench_vacuity_dispatch)
     ->Args({3, 1})

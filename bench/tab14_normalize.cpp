@@ -8,10 +8,10 @@
 //      (e.g. `F(t1 & F c1)`) to the SafetyPrefix / GuaranteeDual shortcut
 //      engines by compiling their normal forms (`class_source ==
 //      normalized`);
-//   2. routing census: with `class_dispatch` on, the run with
+//   2. routing census: on the default class-aware route, the run with
 //      `normalize_steps = 512` lands strictly more checks on each shortcut
 //      engine than the run with normalization disabled
-//      (`normalize_steps = 0`), and a raw run (dispatch off) touches no
+//      (`normalize_steps = 0`), and a raw run (`force_scc`) touches no
 //      shortcut at all. Verdicts are identical across all three runs.
 // Results land in BENCH_normalize.json (schema validated by
 // scripts/validate_bench_normalize.py; `ctest -L bench-smoke`).
@@ -122,7 +122,7 @@ enum class Mode { Normalized, Syntactic, Raw };
 Run run_checks(const Program& prog, const std::vector<ltl::Formula>& specs, Mode mode,
                int repeats) {
   fts::CheckOptions opts;
-  opts.class_dispatch = mode != Mode::Raw;
+  opts.force_scc = mode == Mode::Raw;
   opts.normalize_steps = mode == Mode::Normalized ? 512 : 0;
   Run run;
   run.seconds = best_seconds(
@@ -265,7 +265,6 @@ void bench_check_battery(benchmark::State& state) {
   Program prog = fts::programs::semaphore_mutex(n, fts::Fairness::Weak);
   const auto specs = battery(n);
   fts::CheckOptions opts;
-  opts.class_dispatch = true;
   opts.normalize_steps = state.range(1) != 0 ? 512 : 0;
   for (auto _ : state)
     benchmark::DoNotOptimize(fts::check_all(prog.system, specs, prog.atoms, opts));

@@ -109,6 +109,11 @@ CASES = [
      ["--model", "peterson", "--threads", "99999", "--check", LIVENESS]),
     (2, "retired --explore-threads is an unknown option",
      ["--model", "peterson", "--explore-threads", "2", "--check", LIVENESS]),
+    # Class-aware dispatch is the only route, so its switches are gone.
+    (2, "retired --dispatch is an unknown option",
+     ["--model", "peterson", "--dispatch", "--check", LIVENESS]),
+    (2, "retired --no-dispatch is an unknown option",
+     ["--model", "trivial-mutex", "--no-dispatch", "--vacuity", "--check", VACUOUS]),
     (2, "overflowing --normalize-steps",
      ["--quiet", "--classify", "--normalize-steps", "99999999999999999999",
       "G p"]),

@@ -10,8 +10,9 @@ response —
   * content-addressed caching: repeated specs hit, duplicate specs within
     one batch dedup onto a single computation, the engine-option variant
     force_scc is keyed separately with an agreeing verdict, the retired
-    explore_threads key is ignored (served from the default route's entry),
-    and a model delta invalidates only its own digest;
+    explore_threads and class_dispatch keys are ignored (served from the
+    default route's entry), and a model delta invalidates only its own
+    digest;
   * budget_ms: 0 on an uncached spec yields a well-formed budget-deadline
     Unknown with MPH-V004, and the exhausted result is never cached;
   * the stats op's counters agree with the stream the daemon just served.
@@ -47,9 +48,9 @@ REQUESTS = [
      "specs": [SAFETY, LIVENESS, SAFETY]},                    # in-batch duplicate
     {"op": "check", "id": 5, "model": "peterson", "specs": [SAFETY]},
     {"op": "check", "id": 6, "model": "peterson", "specs": [SAFETY],
-     "force_scc": True, "class_dispatch": True},              # separate cache key
+     "force_scc": True},                                      # separate cache key
     {"op": "check", "id": 7, "model": "peterson", "specs": [SAFETY],
-     "explore_threads": 2},                                   # ignored: a hit
+     "explore_threads": 2, "class_dispatch": False},          # ignored: a hit
     {"op": "check", "id": 8, "model": TOGGLE, "specs": ["F xhi", "G xlo"]},
     {"op": "check", "id": 9, "model": TOGGLE, "specs": ["F xhi"]},
     {"op": "check", "id": 10, "model": TOGGLE_DELTA, "specs": ["F xhi"]},
@@ -148,14 +149,17 @@ def main():
     expect(result_of(warm)["cache"] == "hit"
            and result_of(warm)["verdict"] == "holds",
            "repeated (model, spec) must hit the verdict cache", warm)
+    expect(result_of(warm)["engine"] == "safety-prefix",
+           "the default route sends the safety spec to the closed-prefix scan",
+           warm)
 
     scc = by_id[6]
     expect(result_of(scc)["cache"] == "miss",
            "force_scc must be keyed separately from the default route", scc)
     expect(result_of(scc)["verdict"] == "holds",
            "force_scc verdict must agree", scc)
-    # Class dispatch alone would send the safety spec to the closed-prefix
-    # scan; force_scc pins the general ω-product route.
+    # The default route sends the safety spec to the closed-prefix scan;
+    # force_scc pins the general ω-product route.
     expect(result_of(scc)["engine"] == "SCC",
            "force_scc must override class dispatch", scc)
     expect(scc["options_digest"] != warm["options_digest"],
@@ -164,9 +168,11 @@ def main():
     par = by_id[7]
     expect(result_of(par)["cache"] == "hit"
            and result_of(par)["verdict"] == result_of(warm)["verdict"],
-           "explore_threads must be ignored: a hit with the same verdict", par)
+           "explore_threads and class_dispatch must be ignored: a hit with "
+           "the same verdict", par)
     expect(par["options_digest"] == warm["options_digest"],
-           "explore_threads must not change the options digest", par)
+           "explore_threads and class_dispatch must not change the options "
+           "digest", par)
 
     # -- inline models: content addressing and deltas ----------------------
     inline = by_id[8]

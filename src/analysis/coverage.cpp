@@ -37,7 +37,6 @@ CoverageResult analyze_coverage(const fts::Fts& system, const std::vector<ltl::F
   CoverageResult result;
   fts::CheckOptions co = options.check;
   co.diagnostics = nullptr;
-  co.class_dispatch = options.class_dispatch;
   Budget budget = co.budget;
   if (!budget.has_state_cap()) budget.with_state_cap(fts::kDefaultStateCap);
 

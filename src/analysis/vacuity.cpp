@@ -61,17 +61,17 @@ const Formula* antecedent_of(const Formula& requirement) {
   return p.is_state() ? &p : nullptr;
 }
 
-/// Mirrors check_one's routing: is there any engine that can take this
+/// Mirrors the checker's route(): is there any engine that can take this
 /// formula? (det(¬f); det(f) for a dispatchable safety formula; the
 /// future-only NBA tableau.) Mutants that fail this screen are skipped —
 /// feeding them to check_all would throw out of the whole batch.
-bool checkable(const Formula& f, const lang::Alphabet& alphabet, bool dispatch) {
+bool checkable(const Formula& f, const lang::Alphabet& alphabet) {
   try {
     (void)ltl::compile(ltl::f_not(f), alphabet);
     return true;
   } catch (const std::invalid_argument&) {
   }
-  if (dispatch && ltl::syntactic_classification(f).safety) {
+  if (ltl::syntactic_classification(f).safety) {
     try {
       (void)ltl::compile(f, alphabet);
       return true;
@@ -157,7 +157,6 @@ VacuityResult analyze_vacuity(const fts::Fts& system, const std::vector<ltl::For
 
   fts::CheckOptions co = options.check;
   co.diagnostics = nullptr;  // only MPH-Y findings leave this analyzer
-  co.class_dispatch = options.class_dispatch;
   Budget budget = co.budget;
   if (!budget.has_state_cap()) budget.with_state_cap(fts::kDefaultStateCap);
 
@@ -242,8 +241,7 @@ VacuityResult analyze_vacuity(const fts::Fts& system, const std::vector<ltl::For
           rv.mutants.push_back(std::move(mc));
           continue;
         }
-        if (!checkable(mutant, lang::Alphabet::of_props(mutant_atoms),
-                       options.class_dispatch)) {
+        if (!checkable(mutant, lang::Alphabet::of_props(mutant_atoms))) {
           ++result.stats.mutants_skipped;
           rv.mutants.push_back(std::move(mc));
           continue;

@@ -11,11 +11,11 @@
 //
 // Cost model: all mutants of all requirements go through ONE fts::check_all
 // batch, so exploration, atom-label caches and the worker pool are paid once
-// per model; class-aware dispatch (CheckOptions::class_dispatch) then routes
-// safety mutants to the closed-prefix scan and guarantee mutants through
-// duality, keeping most mutants off the ω-product path entirely. The
-// □(p→q) antecedent shape short-circuits without any mutation: one
-// reachable-state labeling decides whether p is ever exercised (MPH-Y002).
+// per model; the checker's class-aware dispatch then routes safety mutants
+// to the closed-prefix scan and guarantee mutants through duality, keeping
+// most mutants off the ω-product path entirely. The □(p→q) antecedent shape
+// short-circuits without any mutation: one reachable-state labeling decides
+// whether p is ever exercised (MPH-Y002).
 //
 // Everything honors mph::Budget: a budget-exhausted mutant makes the
 // requirement's vacuity verdict Unknown (MPH-Y005) — never a false
@@ -37,13 +37,11 @@ struct VacuityOptions {
   /// Engine options for the requirement and mutant checks (budget, threads,
   /// force_scc). `check.diagnostics` is ignored — the engine checks stay
   /// silent and only the MPH-Y findings reach the DiagnosticEngine given to
-  /// analyze_vacuity. `check.class_dispatch` is overridden by
-  /// `class_dispatch` below.
+  /// analyze_vacuity. Mutants take the checker's default class-aware route
+  /// (CheckEngine::SafetyPrefix / GuaranteeDual); `check.force_scc` sends
+  /// every mutant through the full ω-product instead, and the tab13 bench
+  /// measures the difference.
   fts::CheckOptions check;
-  /// Route mutants per syntactic class (CheckEngine::SafetyPrefix /
-  /// GuaranteeDual). Off = every mutant takes the full ω-product path; the
-  /// tab13 bench measures the difference.
-  bool class_dispatch = true;
   /// The □(p→q) reachable-antecedent shortcut (MPH-Y002).
   bool antecedent_fast_path = true;
   /// Mutants beyond this per-requirement cap are counted as skipped.

@@ -567,15 +567,16 @@ struct Route {
   }
 };
 
-/// Picks the engine for `spec` and compiles its automaton. Under class
-/// dispatch a safety spec (as written, or after normalization) goes to the
-/// closed-prefix scan on det(spec), a guarantee spec to the safety dual of
-/// det(¬spec); everything else — and a shortcut whose compile fails — goes
-/// to the SCC search on det(¬spec), with the NBA tableau as the last resort.
+/// Picks the engine for `spec` and compiles its automaton. Unless
+/// `force_scc` pins the general route, a safety spec (as written, or after
+/// normalization) goes to the closed-prefix scan on det(spec), a guarantee
+/// spec to the safety dual of det(¬spec); everything else — and a shortcut
+/// whose compile fails — goes to the SCC search on det(¬spec), with the NBA
+/// tableau as the last resort.
 Route route(const ltl::Formula& spec, const lang::Alphabet& alphabet, const Budget& budget,
             const CheckOptions& options) {
   Route r;
-  const bool dispatch = options.class_dispatch && !options.force_scc;
+  const bool dispatch = !options.force_scc;
   // The ΔΓ-normal form (src/ltl/normalize.hpp): an equivalent formula that
   // the syntactic rules classify sharply and that always compiles
   // deterministically. Computed lazily, at most once, only under dispatch.

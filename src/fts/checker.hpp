@@ -35,8 +35,8 @@ struct Counterexample {
 };
 
 /// Which emptiness machinery decided a check. Scc is the general ω-product
-/// engine; the next two are the class-aware shortcuts taken when
-/// `CheckOptions::class_dispatch` is on (docs/VACUITY.md):
+/// engine; the next two are the class-aware shortcuts every check takes
+/// unless `CheckOptions::force_scc` pins the general route (docs/CHECKER.md):
 ///   SafetyPrefix  — syntactically-safety spec, decided by plain BFS over the
 ///                   node × det(spec) product against the dead (residual-empty)
 ///                   automaton states. Sound without any fairness machinery:
@@ -63,7 +63,7 @@ enum class CheckEngine : std::uint8_t { Scc, SafetyPrefix, GuaranteeDual, Static
 std::string_view to_string(CheckEngine e);
 
 /// Where the classification that picked the engine came from:
-///   None       — class dispatch off (or force_scc): the general engine runs
+///   None       — `force_scc` pinned the general engine; no class was computed
 ///   Syntactic  — ltl::syntactic_classification on the spec as written
 ///   Normalized — the spec was ΔΓ-normalized (src/ltl/normalize.hpp) and the
 ///                classification/compilation used the hierarchy normal form;
@@ -123,23 +123,22 @@ struct CheckOptions {
   /// ignored; delete at the next benchmark revision
   unsigned explore_threads = 1;
   /// Skip class dispatch and the static prover: every spec goes through
-  /// the general ω-product search. Serve keys its verdict cache on it, and
-  /// the fuzz oracles and `perfbench --reanchor` use it to pin that route.
+  /// the general ω-product search. Without it, syntactically-safety specs
+  /// take the closed-prefix reachability check and syntactically-guarantee
+  /// specs the safety dual (see CheckEngine), with verdicts identical to the
+  /// general engine on every input. This is the only route switch: serve
+  /// keys its verdict cache on it, and the fuzz oracles, the vacuity and
+  /// normalization benches and `perfbench --reanchor` use it to pin the
+  /// ω-product route.
   bool force_scc = false;
-  /// Class-aware engine dispatch: route syntactically-safety specs to the
-  /// closed-prefix reachability check and syntactically-guarantee specs
-  /// through the safety dual (see CheckEngine). Verdicts are identical to
-  /// the full engines on every input — the vacuity analyzer
-  /// (mph::analysis, docs/VACUITY.md) turns this on to keep mutant batches
-  /// off the ω-product path. Ignored when `force_scc` is set, and silently
-  /// skipped for specs outside the dispatchable shapes.
+  /// ignored; delete at the next benchmark revision
   bool class_dispatch = false;
-  /// Rule-application cap for the ΔΓ-normalization attempted (under
-  /// class_dispatch, never with force_scc) when the syntactic
-  /// classification finds neither safety nor guarantee, or when the spec as
-  /// written does not compile deterministically: a completed normal form
-  /// re-classifies the spec and becomes the compilation source, routing it
-  /// to the shortcut engines. 0 disables normalization in the checker.
+  /// Rule-application cap for the ΔΓ-normalization attempted (never under
+  /// force_scc) when the syntactic classification finds neither safety nor
+  /// guarantee, or when the spec as written does not compile
+  /// deterministically: a completed normal form re-classifies the spec and
+  /// becomes the compilation source, routing it to the shortcut engines.
+  /// 0 disables normalization in the checker.
   std::size_t normalize_steps = 512;
   /// Exploration-free proof hook, consulted per spec *before* the shared
   /// exploration (skipped under `force_scc`).

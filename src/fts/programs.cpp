@@ -1,5 +1,8 @@
 #include "src/fts/programs.hpp"
 
+#include <array>
+#include <charconv>
+
 namespace mph::fts::programs {
 namespace {
 
@@ -232,6 +235,34 @@ Program ring_leader(std::size_t n) {
     return true;
   };
   return prog;
+}
+
+std::span<const std::string_view> builtin_model_names() {
+  static constexpr std::array<std::string_view, 6> kNames = {
+      "peterson",          "trivial-mutex", "semaphore-weak", "semaphore-strong",
+      "producer-consumer", "dining-3"};
+  return kNames;
+}
+
+std::optional<Program> builtin_model(std::string_view name) {
+  if (name == "peterson") return peterson();
+  if (name == "trivial-mutex") return trivial_mutex();
+  if (name == "semaphore-weak") return semaphore_mutex(3, Fairness::Weak);
+  if (name == "semaphore-strong") return semaphore_mutex(3, Fairness::Strong);
+  if (name == "producer-consumer") return producer_consumer(3);
+  auto family = [&](std::string_view prefix) -> std::optional<std::size_t> {
+    if (!name.starts_with(prefix)) return std::nullopt;
+    const std::string_view digits = name.substr(prefix.size());
+    if (digits.empty() || digits.size() > 3 || (digits.size() > 1 && digits[0] == '0'))
+      return std::nullopt;
+    std::size_t n = 0;
+    const auto [end, ec] = std::from_chars(digits.data(), digits.data() + digits.size(), n);
+    if (ec != std::errc{} || end != digits.data() + digits.size()) return std::nullopt;
+    return n;
+  };
+  if (auto n = family("dining-")) return dining_philosophers(*n);
+  if (auto n = family("ring-")) return ring_leader(*n);
+  return std::nullopt;
 }
 
 }  // namespace mph::fts::programs

@@ -7,6 +7,10 @@
 // critical locations of process i (1-based).
 #pragma once
 
+#include <optional>
+#include <span>
+#include <string_view>
+
 #include "src/fts/fts.hpp"
 
 namespace mph::fts::programs {
@@ -53,5 +57,17 @@ Program dining_philosophers(std::size_t n);
 /// (no message in flight). Under weak fairness "F elected" and
 /// "G(elected -> maxleader)" both hold.
 Program ring_leader(std::size_t n);
+
+/// The fixed built-in model names, in listing order (`mph-lint --models`
+/// lints exactly these): peterson, trivial-mutex, semaphore-weak and
+/// semaphore-strong (3 processes), producer-consumer (capacity 3), dining-3.
+std::span<const std::string_view> builtin_model_names();
+
+/// The one name → Program lookup shared by `mph-lint --model` and serve:
+/// a name from builtin_model_names() or a family member dining-N / ring-N,
+/// with N written in at most 3 decimal digits and no leading zero (so each
+/// model has exactly one name). nullopt for an unknown name; a family
+/// parameter outside the family's range throws std::invalid_argument.
+std::optional<Program> builtin_model(std::string_view name);
 
 }  // namespace mph::fts::programs

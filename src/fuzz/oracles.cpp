@@ -469,9 +469,9 @@ CheckOutcome check_ltl_eval(const FuzzCase& c, const Budget& budget) {
 }
 
 // ------------------------------------------------------------------------
-// fts-engines: the checker, with class dispatch off and on, against an
-// independent reference on the same system and spec, with counterexamples
-// replayed under the independent lasso evaluator. The reference shares none
+// fts-engines: the checker, on its default route and under force_scc,
+// against an independent reference on the same system and spec, with
+// counterexamples replayed under the independent lasso evaluator. The reference shares none
 // of the checker's exploration or search: it builds the state graph with its
 // own naive explorer (checked node-for-node against fts::explore first),
 // derives the fairness marks straight from the Fts API, materializes the
@@ -659,16 +659,16 @@ CheckOutcome check_fts_engines(const FuzzCase& c, const Budget& budget) {
   options.budget = oracle_budget(budget);
   const auto batch = fts::check_all(sys, {spec}, atoms, options)[0];
   const auto single = fts::check(sys, spec, atoms, options);
-  fts::CheckOptions dispatch_options = options;
-  dispatch_options.class_dispatch = true;
-  const auto dispatched = fts::check(sys, spec, atoms, dispatch_options);
+  fts::CheckOptions scc_options = options;
+  scc_options.force_scc = true;
+  const auto scc = fts::check(sys, spec, atoms, scc_options);
   std::optional<ReferenceGraph> graph;
   if (auto failed = explore_against_reference(sys, options.budget, graph)) return *failed;
   const auto reference = reference_holds(sys, graph, spec, atoms, options.budget);
   // Outcomes come first: under a deadline one side can complete while the
   // other runs out, so differing verdicts with a non-Complete outcome are
   // budget exhaustion, not a discrepancy.
-  const Outcome agg = worst(worst(batch.outcome, single.outcome), dispatched.outcome);
+  const Outcome agg = worst(worst(batch.outcome, single.outcome), scc.outcome);
   if (!is_complete(agg) || !reference)
     return CheckOutcome::exhausted(
         "engine budget exhausted (" +
@@ -677,13 +677,13 @@ CheckOutcome check_fts_engines(const FuzzCase& c, const Budget& budget) {
     return CheckOutcome::fail("checker and materialized reference disagree on '" +
                               c.formulas[0] + "' (" + verdict_of(batch.holds) + " vs " +
                               verdict_of(*reference) + ")");
+  if (scc.holds != *reference)
+    return CheckOutcome::fail("force_scc ω-product route and materialized reference disagree "
+                              "on '" + c.formulas[0] + "' (" + verdict_of(scc.holds) + " vs " +
+                              verdict_of(*reference) + ")");
   if (single.holds != batch.holds)
     return CheckOutcome::fail("check and check_all disagree on '" + c.formulas[0] + "'");
-  if (dispatched.holds != batch.holds)
-    return CheckOutcome::fail("class dispatch and the SCC engine disagree on '" +
-                              c.formulas[0] + "' (" + verdict_of(dispatched.holds) + " vs " +
-                              verdict_of(batch.holds) + ")");
-  for (const auto* r : {&batch, &single, &dispatched})
+  for (const auto* r : {&batch, &single, &scc})
     if (auto why = replay_failure(sys, atoms, spec, *r)) return CheckOutcome::fail(*why);
   return CheckOutcome::pass();
 }
@@ -692,7 +692,8 @@ CheckOutcome check_fts_engines(const FuzzCase& c, const Budget& budget) {
 // vacuity-antecedent: the MPH-Y002 fast path (one reachable-state labeling,
 // no product) against the model checker, three ways. For a □(p→q) with a
 // propositional p, "p is exercised" must equal "G ¬p is violated" on both
-// the class-dispatched safety-prefix engine and the full ω-product — every
+// the default route's safety-prefix engine and the full ω-product pinned by
+// force_scc — every
 // reachable state lies on a fair computation (transition fairness is
 // machine-closed), so state labeling and fair-computation checking agree.
 // When p is unreachable, the requirement itself must hold and analyze_vacuity
@@ -743,22 +744,21 @@ CheckOutcome check_vacuity_antecedent(const FuzzCase& c, const Budget& budget) {
                                    std::string(to_string(fast->outcome)) + ")");
   const bool exercised = *fast->value;
 
-  // Paths 2 and 3: model-check G ¬p with and without class dispatch. ¬p is
-  // propositional, so G ¬p is syntactically safety: dispatch takes the
-  // closed-prefix scan, no dispatch the full ω-product.
+  // Paths 2 and 3: model-check G ¬p on the default route and under
+  // force_scc. ¬p is propositional, so G ¬p is syntactically safety: the
+  // default route takes the closed-prefix scan, force_scc the full
+  // ω-product.
   const ltl::Formula never_p = ltl::f_always(ltl::f_not(f.child(0).child(0)));
-  fts::CheckOptions dispatched = base;
-  dispatched.class_dispatch = true;
   fts::CheckOptions full = base;
-  full.class_dispatch = false;
-  const auto r_prefix = fts::check_all(sys, {never_p}, atoms, dispatched)[0];
+  full.force_scc = true;
+  const auto r_prefix = fts::check_all(sys, {never_p}, atoms, base)[0];
   const auto r_omega = fts::check_all(sys, {never_p}, atoms, full)[0];
   if (!is_complete(r_prefix.outcome) || !is_complete(r_omega.outcome))
     return CheckOutcome::exhausted(
         "engine budget exhausted (" +
         std::string(to_string(worst(r_prefix.outcome, r_omega.outcome))) + ")");
   if (r_prefix.stats.engine != fts::CheckEngine::SafetyPrefix)
-    return CheckOutcome::fail("class dispatch did not route 'G !p' to the "
+    return CheckOutcome::fail("the default route did not take 'G !p' to the "
                               "closed-prefix engine");
   if (r_prefix.holds != r_omega.holds)
     return CheckOutcome::fail("safety-prefix and ω-product engines disagree on '" +
@@ -801,9 +801,9 @@ CheckOutcome check_vacuity_antecedent(const FuzzCase& c, const Budget& budget) {
 // normalize-agreement: ΔΓ-normalization is language-preserving. A completed
 // normal form must agree with the original formula three ways — the direct
 // lasso evaluator on sampled words, the compiled deterministic automaton,
-// and the model checker's verdict on a random fair transition system (raw
-// engines vs class dispatch with normalization, plus checking the normal
-// form itself through the raw engines).
+// and the model checker's verdict on a random fair transition system (the
+// force_scc ω-product vs the default class-aware route with normalization,
+// plus checking the normal form itself through the force_scc route).
 
 FuzzCase gen_normalize_agreement(Rng& rng) {
   FuzzCase c;
@@ -860,18 +860,16 @@ CheckOutcome check_normalize_agreement(const FuzzCase& c, const Budget& budget) 
                                 l.to_string(sigma));
   }
   if (auto gate = budget_gate(budget)) return *gate;
-  // Leg 3: model-checking verdicts. Raw ω-engines on the original, class
-  // dispatch with normalization on the original, and raw engines on the
-  // normal form itself must all agree.
+  // Leg 3: model-checking verdicts. The force_scc ω-product on the original,
+  // the default class-aware route with normalization on the original, and
+  // force_scc on the normal form itself must all agree.
   const fts::Fts sys = c.system->build();
   const fts::AtomMap atoms = c.system->atoms();
-  fts::CheckOptions raw;
-  raw.budget = oracle_budget(budget);
-  raw.class_dispatch = false;
-  raw.normalize_steps = 0;
-  fts::CheckOptions dispatched = raw;
-  dispatched.class_dispatch = true;
+  fts::CheckOptions dispatched;
+  dispatched.budget = oracle_budget(budget);
   dispatched.normalize_steps = 512;
+  fts::CheckOptions raw = dispatched;
+  raw.force_scc = true;
   const auto r_raw = fts::check_all(sys, {spec}, atoms, raw)[0];
   const auto r_disp = fts::check_all(sys, {spec}, atoms, dispatched)[0];
   if (!is_complete(r_raw.outcome) || !is_complete(r_disp.outcome))
@@ -1175,7 +1173,7 @@ std::vector<Oracle>& mutable_registry() {
        gen_ltl_eval, check_ltl_eval},
       {"fts-engines",
        "explore vs a naive reference explorer node-for-node, then the model checker "
-       "(class dispatch off and on) vs a materialized product decided by "
+       "(default route and force_scc) vs a materialized product decided by "
        "omega::find_good_loop, with counterexample replay",
        gen_fts_engines, check_fts_engines},
       {"vacuity-antecedent",

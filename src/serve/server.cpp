@@ -210,29 +210,9 @@ Json fts_spec_to_json(const fuzz::FtsSpec& spec) {
 ResolvedModel resolve_model(const Json& model) {
   if (model.is_string()) {
     const std::string& name = model.as_string();
-    auto from = [&](fts::programs::Program program) {
-      return ResolvedModel{std::move(program.system), std::move(program.atoms),
+    if (auto program = fts::programs::builtin_model(name))
+      return ResolvedModel{std::move(program->system), std::move(program->atoms),
                            builtin_model_digest(name), name};
-    };
-    if (name == "peterson") return from(fts::programs::peterson());
-    if (name == "trivial-mutex") return from(fts::programs::trivial_mutex());
-    if (name == "semaphore-weak")
-      return from(fts::programs::semaphore_mutex(3, fts::Fairness::Weak));
-    if (name == "semaphore-strong")
-      return from(fts::programs::semaphore_mutex(3, fts::Fairness::Strong));
-    if (name == "producer-consumer") return from(fts::programs::producer_consumer(3));
-    auto family = [&](std::string_view prefix) -> std::optional<std::size_t> {
-      if (name.size() <= prefix.size() ||
-          name.compare(0, prefix.size(), prefix) != 0)
-        return std::nullopt;
-      const std::string digits = name.substr(prefix.size());
-      if (digits.find_first_not_of("0123456789") != std::string::npos ||
-          digits.empty() || digits.size() > 3)
-        return std::nullopt;
-      return static_cast<std::size_t>(std::stoul(digits));
-    };
-    if (auto n = family("dining-")) return from(fts::programs::dining_philosophers(*n));
-    if (auto n = family("ring-")) return from(fts::programs::ring_leader(*n));
     throw std::invalid_argument("unknown model '" + name + "'");
   }
   fuzz::FtsSpec spec = fts_spec_from_json(model);
@@ -275,8 +255,6 @@ fts::CheckOptions Server::check_options(const Json& request, const Budget& budge
         std::max<std::uint64_t>(as_u64_field(*threads, "threads"), 1),
         config_.max_threads));
   if (const Json* force = request.find("force_scc")) options.force_scc = force->as_bool();
-  if (const Json* dispatch = request.find("class_dispatch"))
-    options.class_dispatch = dispatch->as_bool();
   if (const Json* steps = request.find("normalize_steps"))
     options.normalize_steps = as_u64_field(*steps, "normalize_steps");
   return options;
@@ -590,52 +568,54 @@ Json Server::handle_check(const Json& request) {
     computed = fts::check_all(model.system, miss_formulas, model.atoms, options);
   }
 
+  // One VerdictEntry per computed result: it renders the miss and dedup
+  // rows exactly as a later cache hit renders it, and it is what the cache
+  // stores.
+  std::vector<VerdictEntry> fresh;
+  fresh.reserve(computed.size());
+  for (const fts::CheckResult& r : computed) {
+    VerdictEntry entry;
+    entry.holds = r.holds;
+    entry.stats = r.stats;  // stats.outcome == r.outcome
+    if (r.counterexample) {
+      entry.has_counterexample = true;
+      entry.cex_prefix = r.counterexample->prefix.size();
+      entry.cex_loop = r.counterexample->loop.size();
+    }
+    fresh.push_back(entry);
+  }
+
   std::vector<Json> results;
   for (const auto& p : positions) {
     const FormulaArtifacts& art = *formulas_.find(p.digest);
+    const VerdictEntry& entry = p.cached    ? *p.cached
+                                : p.derived ? *p.derived
+                                            : fresh.at(p.miss_index);
+    const Outcome outcome = entry.stats.outcome;
     JsonWriter w;
     w.field("spec", p.text)
         .field("canonical", art.canonical)
-        .field("digest", digest_hex(p.digest));
-    if (p.cached || p.derived) {
-      const VerdictEntry& entry = p.cached ? *p.cached : *p.derived;
-      w.field("verdict", entry.holds ? "holds" : "violated")
-          .field("outcome", to_string(entry.stats.outcome))
-          .field("cache", p.cached ? "hit" : "subsume");
-      // The stats of a subsume-derived row are the donor's: they are the
-      // evidence the verdict transferred from.
-      if (p.derived) w.field("via", digest_hex(p.via));
-      w.field("engine", to_string(entry.stats.engine))
-          .field("class_source", to_string(entry.stats.class_source))
-          .field("product_states",
-                 static_cast<std::uint64_t>(entry.stats.product_states))
-          .field("automaton_states",
-                 static_cast<std::uint64_t>(entry.stats.automaton_states));
-      if (entry.has_counterexample)
-        w.field("counterexample", JsonWriter()
-                                      .field("prefix", entry.cex_prefix)
-                                      .field("loop", entry.cex_loop)
-                                      .build());
-    } else {
-      const fts::CheckResult& r = computed.at(p.miss_index);
-      const bool complete = is_complete(r.outcome);
-      w.field("verdict", !complete ? "unknown" : r.holds ? "holds" : "violated")
-          .field("outcome", to_string(r.outcome))
-          .field("cache", p.dedup ? "dedup" : "miss")
-          .field("engine", to_string(r.stats.engine))
-          .field("class_source", to_string(r.stats.class_source))
-          .field("product_states", static_cast<std::uint64_t>(r.stats.product_states))
-          .field("automaton_states",
-                 static_cast<std::uint64_t>(r.stats.automaton_states));
-      if (r.counterexample)
-        w.field("counterexample",
-                JsonWriter()
-                    .field("prefix",
-                           static_cast<std::uint64_t>(r.counterexample->prefix.size()))
-                    .field("loop",
-                           static_cast<std::uint64_t>(r.counterexample->loop.size()))
-                    .build());
-    }
+        .field("digest", digest_hex(p.digest))
+        .field("verdict", !is_complete(outcome) ? "unknown"
+                          : entry.holds         ? "holds"
+                                                : "violated")
+        .field("outcome", to_string(outcome))
+        .field("cache", p.cached    ? "hit"
+                        : p.derived ? "subsume"
+                        : p.dedup   ? "dedup"
+                                    : "miss");
+    // The stats of a subsume-derived row are the donor's: they are the
+    // evidence the verdict transferred from.
+    if (p.derived) w.field("via", digest_hex(p.via));
+    w.field("engine", to_string(entry.stats.engine))
+        .field("class_source", to_string(entry.stats.class_source))
+        .field("product_states", static_cast<std::uint64_t>(entry.stats.product_states))
+        .field("automaton_states", static_cast<std::uint64_t>(entry.stats.automaton_states));
+    if (entry.has_counterexample)
+      w.field("counterexample", JsonWriter()
+                                    .field("prefix", entry.cex_prefix)
+                                    .field("loop", entry.cex_loop)
+                                    .build());
     results.push_back(std::move(w).build());
   }
 
@@ -645,21 +625,12 @@ Json Server::handle_check(const Json& request) {
   for (const auto& p : positions) {
     if (p.cached || p.derived) continue;
     if (!stored.insert(p.digest).second) continue;
-    const fts::CheckResult& r = computed.at(p.miss_index);
-    if (!is_complete(r.outcome)) {
+    const VerdictEntry& entry = fresh.at(p.miss_index);
+    if (!is_complete(entry.stats.outcome)) {
       ++budget_exhaustions_;
       continue;
     }
-    if (!use_cache) continue;
-    VerdictEntry entry;
-    entry.holds = r.holds;
-    entry.stats = r.stats;
-    if (r.counterexample) {
-      entry.has_counterexample = true;
-      entry.cex_prefix = r.counterexample->prefix.size();
-      entry.cex_loop = r.counterexample->loop.size();
-    }
-    verdicts_.put({model.digest, p.digest, odigest}, entry);
+    if (use_cache) verdicts_.put({model.digest, p.digest, odigest}, entry);
   }
 
   return JsonWriter()
@@ -728,8 +699,6 @@ Json Server::handle_vacuity(const Json& request) {
 
   analysis::VacuityOptions vopts;
   vopts.check = check_options(request, budget);
-  if (const Json* dispatch = request.find("class_dispatch"))
-    vopts.class_dispatch = dispatch->as_bool();
   const analysis::VacuityResult vr =
       analysis::analyze_vacuity(model.system, requirements, model.atoms, diagnostics, vopts);
 

@@ -568,6 +568,7 @@ TEST(CheckerDiagnostics, V001TableauFallback) {
   DiagnosticEngine e;
   fts::CheckOptions options;
   options.diagnostics = &e;
+  options.force_scc = true;  // the default route normalizes this spec instead
   auto result =
       fts::check(prog.system, ltl::parse_formula("F(t1 & X(!t1 & X t1))"), prog.atoms, options);
   EXPECT_TRUE(e.has_code("MPH-V001")) << e.to_text();

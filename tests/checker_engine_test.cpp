@@ -56,12 +56,15 @@ TEST(CheckStats, BasicFieldsAreConsistent) {
 TEST(EngineSelection, BuchiShapedGoesOnTheFly) {
   Program prog = programs::peterson();
   // ¬(safety) is a guarantee (Inf acceptance) and ¬(response) a persistence
-  // (Fin acceptance): both go through the one on-the-fly SCC search, and a
-  // holding spec interns the whole reachable product either way.
-  auto safety = check(prog.system, parse_formula("G !(c1 & c2)"), prog.atoms);
+  // (Fin acceptance): on the general route both go through the one
+  // on-the-fly SCC search, and a holding spec interns the whole reachable
+  // product either way.
+  CheckOptions scc;
+  scc.force_scc = true;
+  auto safety = check(prog.system, parse_formula("G !(c1 & c2)"), prog.atoms, scc);
   EXPECT_EQ(safety.stats.engine, CheckEngine::Scc);
   EXPECT_TRUE(safety.holds);
-  auto response = check(prog.system, parse_formula("G(t1 -> F c1)"), prog.atoms);
+  auto response = check(prog.system, parse_formula("G(t1 -> F c1)"), prog.atoms, scc);
   EXPECT_EQ(response.stats.engine, CheckEngine::Scc);
   EXPECT_TRUE(response.holds);
   EXPECT_GT(response.stats.product_states, 0u);
@@ -71,7 +74,6 @@ TEST(EngineSelection, BuchiShapedGoesOnTheFly) {
 TEST(EngineSelection, NormalizationRoutesNonSyntacticShapesToShortcuts) {
   Program prog = programs::peterson();
   CheckOptions opt;
-  opt.class_dispatch = true;
   // ◇(t1 ∧ ◇c1) denotes a guarantee but is not written as one: the syntactic
   // classifier alone cannot route it, the ΔΓ-normalizer can.
   auto spec = parse_formula("F(t1 & F c1)");
@@ -81,7 +83,7 @@ TEST(EngineSelection, NormalizationRoutesNonSyntacticShapesToShortcuts) {
   EXPECT_GT(r.stats.normalize_steps, 0u);
   // The verdict agrees with the general engine.
   CheckOptions full;
-  full.class_dispatch = false;
+  full.force_scc = true;
   EXPECT_EQ(r.holds, check(prog.system, spec, prog.atoms, full).holds);
 
   // Syntactically-visible shapes keep the Syntactic source (no normalize).
@@ -100,11 +102,13 @@ TEST(EngineSelection, NormalizationRoutesNonSyntacticShapesToShortcuts) {
 
 TEST(EarlyExit, ViolationStopsStrictlyBelowTheProductBound) {
   // Seeded violation: the naive dining protocol deadlocks. The SCC search
-  // must report it without interning the whole state-graph × automaton
-  // product.
+  // (pinned by force_scc) must report it without interning the whole
+  // state-graph × automaton product.
   Program prog = programs::dining_philosophers(3);
   auto spec = parse_formula("G !deadlock");
-  auto result = check(prog.system, spec, prog.atoms);
+  CheckOptions scc;
+  scc.force_scc = true;
+  auto result = check(prog.system, spec, prog.atoms, scc);
   ASSERT_FALSE(result.holds);
   EXPECT_EQ(result.stats.engine, CheckEngine::Scc);
   EXPECT_LT(result.stats.product_states, result.stats.product_bound);
@@ -112,11 +116,14 @@ TEST(EarlyExit, ViolationStopsStrictlyBelowTheProductBound) {
 }
 
 TEST(EarlyExit, NbaFallbackViolationReplays) {
-  // Outside the hierarchy fragment: the tableau NBA drives the same SCC
-  // search and its counterexample must still be genuine.
+  // Outside the hierarchy fragment: on the general route (the default one
+  // normalizes this spec) the tableau NBA drives the same SCC search and its
+  // counterexample must still be genuine.
   Program prog = programs::dining_philosophers(2);
   auto spec = parse_formula("(F eat1) U deadlock");
-  auto result = check(prog.system, spec, prog.atoms);
+  CheckOptions scc;
+  scc.force_scc = true;
+  auto result = check(prog.system, spec, prog.atoms, scc);
   ASSERT_FALSE(result.holds);
   EXPECT_TRUE(result.stats.nba_fallback);
   EXPECT_EQ(result.stats.engine, CheckEngine::Scc);
@@ -187,9 +194,11 @@ TEST(CheckAll, ThreadedDiagnosticsMergeInSpecOrder) {
   Program prog = programs::peterson();
   auto specs = mixed_specs();
   analysis::DiagnosticEngine sequential_engine, threaded_engine;
+  // force_scc keeps the NBA-fallback spec on the tableau (MPH-V001).
   CheckOptions sequential_options;
+  sequential_options.force_scc = true;
   sequential_options.diagnostics = &sequential_engine;
-  CheckOptions threaded_options;
+  CheckOptions threaded_options = sequential_options;
   threaded_options.threads = 3;
   threaded_options.diagnostics = &threaded_engine;
   check_all(prog.system, specs, prog.atoms, sequential_options);
@@ -295,6 +304,7 @@ TEST(Budgets, ExhaustionIsDeterministicAcrossThreadCounts) {
       parse_formula("F(t1 & X(!t1 & X t1))"),  // NBA fallback
   };
   CheckOptions seq;
+  seq.force_scc = true;  // the general route: full products and the NBA tableau
   seq.budget.with_state_cap(graph_nodes);
   CheckOptions par = seq;
   par.threads = 4;
@@ -325,31 +335,30 @@ TEST(Budgets, ExhaustionIsDeterministicAcrossThreadCounts) {
 TEST(EngineSelection, ForceSccIgnoresClassDispatch) {
   // force_scc pins the general ω-product route: class dispatch, and with it
   // the ΔΓ-normalization rescue, must not run. These specs' ¬spec lies
-  // outside the deterministic fragment as written, so a rescue would show up
-  // as a smaller deterministic automaton.
+  // outside the deterministic fragment as written, so the default route
+  // rescues them (Normalized class source) and force_scc must not.
   Program prog = programs::peterson();
   for (const char* text : {"F(t1 & X(!t1 & X t1))", "F(t1 & F c1)", "(F c1) U c2"}) {
     const auto spec = parse_formula(text);
     CheckOptions forced;
     forced.force_scc = true;
-    CheckOptions both = forced;
-    both.class_dispatch = true;
-    const auto a = check(prog.system, spec, prog.atoms, forced);
-    const auto b = check(prog.system, spec, prog.atoms, both);
-    EXPECT_EQ(b.stats.class_source, ClassSource::None) << text;
-    EXPECT_EQ(b.stats.normalize_steps, 0u) << text;
-    EXPECT_EQ(b.stats.engine, CheckEngine::Scc) << text;
-    EXPECT_EQ(b.stats.automaton_states, a.stats.automaton_states) << text;
-    EXPECT_EQ(b.stats.nba_fallback, a.stats.nba_fallback) << text;
-    EXPECT_EQ(b.holds, a.holds) << text;
+    const auto pinned = check(prog.system, spec, prog.atoms, forced);
+    const auto routed = check(prog.system, spec, prog.atoms);
+    EXPECT_EQ(pinned.stats.class_source, ClassSource::None) << text;
+    EXPECT_EQ(pinned.stats.normalize_steps, 0u) << text;
+    EXPECT_EQ(pinned.stats.engine, CheckEngine::Scc) << text;
+    EXPECT_TRUE(pinned.stats.nba_fallback) << text;
+    EXPECT_EQ(routed.stats.class_source, ClassSource::Normalized) << text;
+    EXPECT_NE(routed.stats.engine, CheckEngine::Scc) << text;
+    EXPECT_EQ(pinned.holds, routed.holds) << text;
   }
 }
 
 TEST(RingLeader, PropertiesUnderBothEngines) {
   const Program prog = programs::ring_leader(5);
-  for (bool dispatch : {false, true}) {
+  for (bool force_scc : {false, true}) {
     CheckOptions opts;
-    opts.class_dispatch = dispatch;
+    opts.force_scc = force_scc;
     // Chang–Roberts: some leader is elected under weak fairness, and only
     // the maximal id can win.
     EXPECT_TRUE(check(prog.system, parse_formula("F elected"), prog.atoms, opts).holds);
@@ -427,20 +436,17 @@ std::vector<std::string> route_rows() {
     // and every product search or tableau past it runs out of budget.
     const std::size_t nodes =
         check(prog.system, parse_formula(m.specs.front()), prog.atoms).stats.state_graph_nodes;
-    std::vector<std::pair<std::string, CheckOptions>> option_sets(6);
+    std::vector<std::pair<std::string, CheckOptions>> option_sets(5);
     option_sets[0].first = "defaults";
-    option_sets[1].first = "class_dispatch";
-    option_sets[1].second.class_dispatch = true;
-    option_sets[2].first = "force_scc";
+    option_sets[1].first = "force_scc";
+    option_sets[1].second.force_scc = true;
+    option_sets[2].first = "force_scc+state_cap=nodes";
     option_sets[2].second.force_scc = true;
+    option_sets[2].second.budget.with_state_cap(nodes);
     option_sets[3].first = "state_cap=nodes";
     option_sets[3].second.budget.with_state_cap(nodes);
-    option_sets[4].first = "class_dispatch+state_cap=nodes";
-    option_sets[4].second.class_dispatch = true;
-    option_sets[4].second.budget.with_state_cap(nodes);
-    option_sets[5].first = "class_dispatch+normalize_steps=0";
-    option_sets[5].second.class_dispatch = true;
-    option_sets[5].second.normalize_steps = 0;
+    option_sets[4].first = "normalize_steps=0";
+    option_sets[4].second.normalize_steps = 0;
     for (const char* spec : m.specs)
       for (auto& [name, options] : option_sets) {
         analysis::DiagnosticEngine diags;

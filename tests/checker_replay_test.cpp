@@ -18,8 +18,8 @@ using programs::Program;
 /// Replays a counterexample into the atom word and checks that the word
 /// falsifies the spec. Valid only for atoms that ignore last_taken (all the
 /// location atoms of the program library do).
-void expect_genuine_counterexample(const Program& prog, const ltl::Formula& spec,
-                                   const CheckOptions& options = {}) {
+void expect_genuine_counterexample_on(const Program& prog, const ltl::Formula& spec,
+                                      const CheckOptions& options) {
   auto result = check(prog.system, spec, prog.atoms, options);
   ASSERT_FALSE(result.holds) << spec.to_string();
   ASSERT_TRUE(result.counterexample.has_value());
@@ -39,6 +39,16 @@ void expect_genuine_counterexample(const Program& prog, const ltl::Formula& spec
   for (const auto& v : cex.loop) word.loop.push_back(symbol_of(v));
   EXPECT_FALSE(ltl::evaluates(spec, word, alphabet))
       << "counterexample does not violate " << spec.to_string();
+}
+
+/// Both routes: the default class-aware one (whose closed-prefix scan
+/// extends a bad prefix into a full computation) and the general ω-product
+/// pinned by force_scc.
+void expect_genuine_counterexample(const Program& prog, const ltl::Formula& spec) {
+  expect_genuine_counterexample_on(prog, spec, CheckOptions{});
+  CheckOptions scc;
+  scc.force_scc = true;
+  expect_genuine_counterexample_on(prog, spec, scc);
 }
 
 TEST(CheckerReplay, TrivialMutexAccessibility) {
@@ -68,11 +78,7 @@ TEST(CheckerReplay, DiningPhilosophersDeadlock) {
                                 parse_formula("G !deadlock"));
   expect_genuine_counterexample(programs::dining_philosophers(3),
                                 parse_formula("G(hungry1 -> F eat1)"));
-  // The closed-prefix scan's bad prefix, extended into a full computation.
-  CheckOptions dispatch;
-  dispatch.class_dispatch = true;
-  expect_genuine_counterexample(programs::dining_philosophers(3), parse_formula("G !deadlock"),
-                                dispatch);
+  expect_genuine_counterexample(programs::dining_philosophers(3), parse_formula("G !deadlock"));
 }
 
 TEST(CheckerReplay, RingLeaderEarlyExit) {

@@ -76,10 +76,13 @@ TEST(ServeDigest, OptionsDigestKeysEngineRoutes) {
   fts::CheckOptions par = base;
   par.explore_threads = 2;  // a no-op: it selects no engine route
   fts::CheckOptions dispatch = base;
-  dispatch.class_dispatch = true;
+  dispatch.class_dispatch = true;  // ignored: class dispatch is always on
+  fts::CheckOptions steps = base;
+  steps.normalize_steps = 0;
   EXPECT_NE(options_digest(base), options_digest(scc));
   EXPECT_EQ(options_digest(base), options_digest(par));
-  EXPECT_NE(options_digest(base), options_digest(dispatch));
+  EXPECT_EQ(options_digest(base), options_digest(dispatch));
+  EXPECT_NE(options_digest(base), options_digest(steps));
   EXPECT_NE(options_digest(scc), options_digest(par));
 }
 
@@ -417,6 +420,23 @@ TEST(ServeServer, MalformedRequestsAreStructuredErrors) {
   // The server survives all of the above.
   const Json ok = req(server.handle_line(R"js({"op":"parse","formula":"G p"})js"));
   EXPECT_TRUE(ok.find("ok")->as_bool());
+}
+
+TEST(ServeServer, BuiltinModelNamesHaveOneSpelling) {
+  // Each built-in model has exactly one name, so it has exactly one builtin
+  // digest: a family parameter with a leading zero is an unknown model.
+  Server server;
+  const Json canonical = req(server.handle_line(
+      R"js({"op":"check","model":"dining-3","specs":["G !(eat1 & eat2)"]})js"));
+  EXPECT_TRUE(canonical.find("ok")->as_bool());
+  for (const char* name : {"dining-03", "ring-03", "dining-003", "dining-", "dining-3x"}) {
+    const Json refused = req(server.handle_line(
+        std::string(R"js({"op":"check","model":")js") + name +
+        R"js(","specs":["G !(eat1 & eat2)"]})js"));
+    EXPECT_FALSE(refused.find("ok")->as_bool()) << name;
+    EXPECT_EQ(field(*refused.find("error"), "code"), "bad-request") << name;
+    EXPECT_THROW(resolve_model(Json::string(name)), std::invalid_argument) << name;
+  }
 }
 
 TEST(ServeServer, IdEchoesBackFirst) {

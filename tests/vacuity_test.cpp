@@ -223,7 +223,7 @@ TEST(Vacuity, BudgetExhaustionIsUnknownNeverNonVacuous) {
 TEST(Dispatch, SafetyMutantsStayOffTheOmegaProduct) {
   const auto prog = fts::programs::trivial_mutex();
   analysis::DiagnosticEngine diag;
-  analysis::VacuityOptions dispatched;  // class_dispatch defaults on
+  analysis::VacuityOptions dispatched;  // mutants take the class-aware route
   const auto with =
       analysis::analyze_vacuity(prog.system, {parse_formula("G !(c1 & c2)")}, prog.atoms,
                                 diag, dispatched);
@@ -235,7 +235,7 @@ TEST(Dispatch, SafetyMutantsStayOffTheOmegaProduct) {
   EXPECT_EQ(with.stats.scc, 0u);
 
   analysis::VacuityOptions full = dispatched;
-  full.class_dispatch = false;
+  full.check.force_scc = true;
   analysis::DiagnosticEngine diag2;
   const auto without =
       analysis::analyze_vacuity(prog.system, {parse_formula("G !(c1 & c2)")}, prog.atoms,
@@ -253,11 +253,11 @@ TEST(Dispatch, SafetyMutantsStayOffTheOmegaProduct) {
 TEST(Dispatch, GuaranteeSpecsTakeTheDualEngine) {
   const auto prog = fts::programs::peterson();
   const ltl::Formula spec = parse_formula("F c1");
-  fts::CheckOptions dispatched;
-  dispatched.class_dispatch = true;
-  const auto fast = fts::check(prog.system, spec, prog.atoms, dispatched);
+  const auto fast = fts::check(prog.system, spec, prog.atoms);
   EXPECT_EQ(fast.stats.engine, fts::CheckEngine::GuaranteeDual);
-  const auto slow = fts::check(prog.system, spec, prog.atoms, fts::CheckOptions{});
+  fts::CheckOptions scc;
+  scc.force_scc = true;
+  const auto slow = fts::check(prog.system, spec, prog.atoms, scc);
   EXPECT_NE(slow.stats.engine, fts::CheckEngine::GuaranteeDual);
   EXPECT_NE(slow.stats.engine, fts::CheckEngine::SafetyPrefix);
   ASSERT_TRUE(is_complete(fast.outcome));

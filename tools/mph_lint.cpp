@@ -39,40 +39,6 @@ namespace {
 
 using namespace mph;
 
-struct ModelEntry {
-  const char* name;
-  fts::programs::Program (*make)();
-};
-
-const ModelEntry kModels[] = {
-    {"peterson", [] { return fts::programs::peterson(); }},
-    {"trivial-mutex", [] { return fts::programs::trivial_mutex(); }},
-    {"semaphore-weak", [] { return fts::programs::semaphore_mutex(3, fts::Fairness::Weak); }},
-    {"semaphore-strong",
-     [] { return fts::programs::semaphore_mutex(3, fts::Fairness::Strong); }},
-    {"producer-consumer", [] { return fts::programs::producer_consumer(3); }},
-    {"dining-3", [] { return fts::programs::dining_philosophers(3); }},
-};
-
-/// Built-in models plus the parameterized families dining-N (2..12) and
-/// ring-N (2..10). Returns nullopt for unknown names; out-of-range family
-/// parameters throw std::invalid_argument (reported as a usage failure).
-std::optional<fts::programs::Program> make_model(const std::string& name) {
-  for (const auto& m : kModels)
-    if (name == m.name) return m.make();
-  auto family = [&](std::string_view prefix) -> std::optional<std::size_t> {
-    if (name.size() <= prefix.size() || name.compare(0, prefix.size(), prefix) != 0)
-      return std::nullopt;
-    const std::string digits = name.substr(prefix.size());
-    if (digits.find_first_not_of("0123456789") != std::string::npos || digits.size() > 3)
-      return std::nullopt;
-    return std::stoul(digits);
-  };
-  if (auto n = family("dining-")) return fts::programs::dining_philosophers(*n);
-  if (auto n = family("ring-")) return fts::programs::ring_leader(*n);
-  return std::nullopt;
-}
-
 int usage(std::ostream& out, int code) {
   out << "usage: mph-lint [options] [FORMULA...]\n"
          "  --spec FILE     lint a spec file (one LTL requirement per line, '#' comments)\n"
@@ -90,10 +56,6 @@ int usage(std::ostream& out, int code) {
          "                  requirements come from --check, --spec and positional formulas\n"
          "  --coverage      transition mutation coverage of the requirements against the\n"
          "                  --model (MPH-Y004): which transitions the spec actually pins\n"
-         "  --no-dispatch   send every vacuity/coverage mutant through the full ω-product\n"
-         "                  engines instead of the class-aware shortcuts (docs/VACUITY.md)\n"
-         "  --dispatch      use class-aware dispatch for --check itself (engine column\n"
-         "                  then reports safety-prefix / guarantee-dual where taken)\n"
          "  --absint        interval abstract interpretation of the --model's symbolic\n"
          "                  description (dining-N, ring-N): box invariant plus dead\n"
          "                  transitions (MPH-F010), tightened domains (MPH-F011) and\n"
@@ -191,8 +153,6 @@ int main(int argc, char** argv) {
   bool print_normal = false;      // --normalize: also print the normal forms
   bool subsume = false;           // --subsume: pairwise language inclusion
   std::optional<core::PropertyClass> strict_class;  // --strict-class gate
-  bool dispatch_check = false;    // --dispatch: class-aware engines for --check
-  bool dispatch_mutants = true;   // --no-dispatch: full ω-product for mutants
   bool absint = false;            // --absint: interval analysis + static prover
   analysis::AnalysisOptions options;
 
@@ -234,10 +194,6 @@ int main(int argc, char** argv) {
       vacuity = true;
     } else if (arg == "--coverage") {
       coverage = true;
-    } else if (arg == "--no-dispatch") {
-      dispatch_mutants = false;
-    } else if (arg == "--dispatch") {
-      dispatch_check = true;
     } else if (arg == "--absint") {
       absint = true;
     } else if (arg == "--strict-unknown") {
@@ -284,7 +240,8 @@ int main(int argc, char** argv) {
       std::cout << t.to_string();
       return 0;
     } else if (arg == "--list-models") {
-      for (const auto& m : kModels) std::cout << m.name << "\n";
+      for (const auto name : fts::programs::builtin_model_names())
+        std::cout << name << "\n";
       std::cout << "dining-N (N=2..12)\nring-N (N=2..10)\n";
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -295,7 +252,8 @@ int main(int argc, char** argv) {
     }
   }
   if (all_models)
-    for (const auto& m : kModels) model_names.emplace_back(m.name);
+    for (const auto name : fts::programs::builtin_model_names())
+      model_names.emplace_back(name);
   if (formulas.empty() && spec_files.empty() && model_names.empty())
     return usage(std::cerr, 2);
   if (!check_formulas.empty() && model_names.size() != 1) {
@@ -336,7 +294,7 @@ int main(int argc, char** argv) {
     // Models first, then spec files, then command-line formulas (one shared
     // engine: subjects keep the findings apart).
     for (const auto& name : model_names) {
-      auto model = make_model(name);
+      auto model = fts::programs::builtin_model(name);
       if (!model) {
         std::cerr << "mph-lint: unknown model '" << name << "' (see --list-models)\n";
         return 2;
@@ -402,7 +360,6 @@ int main(int argc, char** argv) {
         fts::CheckOptions copts;
         copts.threads = check_threads;
         copts.diagnostics = &engine;
-        copts.class_dispatch = dispatch_check;
         if (sym) copts.static_prover = analysis::make_static_prover(*sym);
         if (budget_states > 0) copts.budget.with_state_cap(budget_states);
         if (budget_ms > 0)
@@ -458,7 +415,6 @@ int main(int argc, char** argv) {
         if (vacuity) {
           analysis::VacuityOptions vopts;
           vopts.check = copts;
-          vopts.class_dispatch = dispatch_mutants;
           const auto vr =
               analysis::analyze_vacuity(program.system, reqs, program.atoms, engine, vopts);
           for (const auto& rv : vr.requirements)
@@ -546,7 +502,6 @@ int main(int argc, char** argv) {
         if (coverage) {
           analysis::CoverageOptions kopts;
           kopts.check = copts;
-          kopts.class_dispatch = dispatch_mutants;
           const auto cr =
               analysis::analyze_coverage(program.system, reqs, program.atoms, engine, kopts);
           if (!is_complete(cr.outcome) || cr.unknown > 0) unknown_seen = true;
