@@ -29,6 +29,7 @@ KNOWN_ORACLES = {
     "operator-duality",
     "classify-vs-forms",
     "ltl-eval-vs-automaton",
+    "tableau-vs-reference",
     "fts-engines",
     "vacuity-antecedent",
     "normalize-agreement",

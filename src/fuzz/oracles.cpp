@@ -12,6 +12,7 @@
 #include "src/fuzz/generators.hpp"
 #include "src/fuzz/reference_determinize.hpp"
 #include "src/fuzz/reference_graph.hpp"
+#include "src/fuzz/reference_tableau.hpp"
 #include "src/lang/dfa_ops.hpp"
 #include "src/lang/random_lang.hpp"
 #include "src/ltl/eval.hpp"
@@ -25,6 +26,7 @@
 #include "src/omega/inclusion.hpp"
 #include "src/omega/operators.hpp"
 #include "src/support/check.hpp"
+#include "src/support/flat_hash.hpp"
 
 namespace mph::fuzz {
 namespace {
@@ -464,6 +466,98 @@ CheckOutcome check_ltl_eval(const FuzzCase& c, const Budget& budget) {
     if (ltl::evaluates(nf, l, *c.alphabet) == direct)
       return CheckOutcome::fail("evaluates gives the same verdict for '" + c.formulas[0] +
                                 "' and its negation on " + l.to_string(*c.alphabet));
+  }
+  return CheckOutcome::pass();
+}
+
+// ------------------------------------------------------------------------
+// tableau-vs-reference: ltl::to_nba's forward expansion against the full
+// enumeration of reference_tableau, trimmed to its reachable, live states —
+// state for state and edge for edge — then both automata against the
+// direct lasso evaluator on every short lasso, and a to_nba build under a
+// drawn state cap, which must either match or report BudgetStates.
+
+FuzzCase gen_tableau(Rng& rng) {
+  FuzzCase c;
+  c.oracle = "tableau-vs-reference";
+  static const std::vector<std::string> props{"p", "q"};
+  const std::vector<std::string> atoms{props.begin(),
+                                       props.begin() + rng.between(1, 2)};
+  c.alphabet = lang::Alphabet::of_props(atoms);
+  c.formulas.push_back(
+      random_ltl(rng, atoms, static_cast<std::size_t>(rng.between(2, 8)), LtlFlavor::FutureOnly)
+          .to_string());
+  return c;
+}
+
+/// "S states, A accepting, I initial, E edges".
+std::string nba_shape(const omega::Nba& n) {
+  std::size_t acc = 0, edges = 0;
+  for (omega::State q = 0; q < n.state_count(); ++q) {
+    acc += n.accepting(q) ? 1 : 0;
+    edges += n.edges(q).size();
+  }
+  return std::to_string(n.state_count()) + " states, " + std::to_string(acc) + " accepting, " +
+         std::to_string(n.initial_states().size()) + " initial, " + std::to_string(edges) +
+         " edges";
+}
+
+CheckOutcome check_tableau(const FuzzCase& c, const Budget& budget) {
+  if (c.formulas.empty() || !c.alphabet) return CheckOutcome::skip("needs a formula");
+  const ltl::Formula f = ltl::parse_formula(c.formulas[0]);
+  if (f.has_past()) return CheckOutcome::skip("past operators are outside the tableau");
+  const lang::Alphabet& sigma = *c.alphabet;
+  Budgeted<omega::Nba> ref, got;
+  try {
+    ref = reference_tableau(f, sigma, oracle_budget(budget));
+    got = ltl::to_nba(f, sigma, oracle_budget(budget));
+  } catch (const std::invalid_argument&) {
+    // Closure over the 12-free-subformula cap, or an atom the alphabet lacks.
+    return CheckOutcome::skip("formula outside the tableau fragment");
+  }
+  if (!ref.complete()) return CheckOutcome::exhausted(std::string(to_string(ref.outcome)));
+  if (got.outcome == Outcome::BudgetStates)
+    return CheckOutcome::fail("to_nba('" + c.formulas[0] + "') ran out of states where the " +
+                              "full tableau of " + std::to_string(ref.value->state_count()) +
+                              " states did not");
+  if (!got.complete()) return CheckOutcome::exhausted(std::string(to_string(got.outcome)));
+  const omega::Nba want = reference_trim(*ref.value);
+  if (auto why = nba_mismatch(want, *got.value))
+    return CheckOutcome::fail("to_nba('" + c.formulas[0] + "') (" + nba_shape(*got.value) +
+                              ") differs from the trimmed full tableau (" + nba_shape(want) +
+                              "): " + *why);
+
+  if (auto gate = budget_gate(budget)) return *gate;
+  for (const Lasso& l : omega::enumerate_lassos(sigma, 2, 2)) {
+    const bool direct = ltl::evaluates(f, l, sigma);
+    if (got.value->accepts(l) != direct || ref.value->accepts(l) != direct)
+      return CheckOutcome::fail("to_nba, the full tableau and evaluates disagree on '" +
+                                c.formulas[0] + "' at " + l.to_string(sigma));
+  }
+
+  // The cap counts the states the forward expansion discovers: at least the
+  // trimmed ones, at most the full tableau's.
+  if (auto gate = budget_gate(budget)) return *gate;
+  // Drawn from the formula text, so a replayed case draws the same cap.
+  Rng caps(hash_range(c.formulas[0]));
+  const std::size_t cap = caps.below(2 * want.state_count() + 2);
+  Budget capped = budget;
+  capped.with_state_cap(cap);
+  const Budgeted<omega::Nba> under = ltl::to_nba(f, sigma, capped);
+  if (under.complete()) {
+    if (cap < want.state_count())
+      return CheckOutcome::fail("to_nba('" + c.formulas[0] + "') completed under cap " +
+                                std::to_string(cap) + " with " +
+                                std::to_string(want.state_count()) + " states");
+    if (auto why = nba_mismatch(*got.value, *under.value))
+      return CheckOutcome::fail("to_nba('" + c.formulas[0] + "') under cap " +
+                                std::to_string(cap) + " built another NBA: " + *why);
+  } else if (under.outcome == Outcome::BudgetStates) {
+    if (cap >= ref.value->state_count())
+      return CheckOutcome::fail("to_nba('" + c.formulas[0] + "') ran out under cap " +
+                                std::to_string(cap) + ", above the full tableau's size");
+  } else {
+    return CheckOutcome::exhausted(std::string(to_string(under.outcome)));
   }
   return CheckOutcome::pass();
 }
@@ -1171,6 +1265,10 @@ std::vector<Oracle>& mutable_registry() {
       {"ltl-eval-vs-automaton",
        "direct LTL lasso evaluation vs the compiled deterministic automaton",
        gen_ltl_eval, check_ltl_eval},
+      {"tableau-vs-reference",
+       "ltl::to_nba's forward tableau vs the trimmed full-enumeration reference, state "
+       "for state; both vs lasso evaluation; and builds under a drawn state cap",
+       gen_tableau, check_tableau},
       {"fts-engines",
        "explore vs a naive reference explorer node-for-node, then the model checker "
        "(default route and force_scc) vs a materialized product decided by "

@@ -1,11 +1,13 @@
 #include "src/ltl/to_nba.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "src/support/check.hpp"
+#include "src/support/flat_hash.hpp"
 
 namespace mph::ltl {
 
@@ -96,209 +98,360 @@ std::size_t index_of(const std::vector<Formula>& subs, const Formula& f) {
   MPH_ASSERT(false);
 }
 
-omega::Nba to_nba_impl(const Formula& f, const lang::Alphabet& alphabet,
-                       const Budget& budget) {
-  const Formula nnf = to_nnf(f);
-  std::vector<Formula> subs;
-  collect(nnf, subs);
-  const std::size_t n = subs.size();
-  // Child positions, resolved once; collect() lists children first.
-  std::vector<std::array<std::size_t, 2>> kid(n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t k = 0; k < subs[i].arity(); ++k)
-      kid[i][k] = index_of(subs, subs[i].child(k));
-  // Free positions: atoms, X, U, R. Everything else is determined bottom-up.
-  std::vector<std::size_t> free_idx;
-  for (std::size_t i = 0; i < n; ++i) {
-    Op op = subs[i].op();
-    if (op == Op::Atom || op == Op::Next || op == Op::Until || op == Op::Release)
-      free_idx.push_back(i);
-  }
-  MPH_REQUIRE(free_idx.size() <= 12,
-              "closure too large for the tableau construction (cap: 12 free subformulas)");
-
-  // Enumerate locally consistent assignments, stored as rows of `words`
-  // bit words.
-  const std::size_t words = (n + 63) / 64;
-  std::vector<std::uint64_t> rows;
-  auto bit = [&](std::size_t ai, std::size_t i) {
-    return (rows[ai * words + i / 64] >> (i % 64)) & 1;
-  };
-  const std::size_t combos = std::size_t{1} << free_idx.size();
-  std::vector<bool> a(n);
-  for (std::size_t bits = 0; bits < combos; ++bits) {
-    if (Outcome o = budget.poll(); !is_complete(o)) throw BudgetExhausted(o);
-    std::fill(a.begin(), a.end(), false);
-    for (std::size_t k = 0; k < free_idx.size(); ++k)
-      a[free_idx[k]] = (bits >> k) & 1;
+/// The forward tableau of one formula. An assignment gives a truth value
+/// to every position of the NNF closure; it is fixed by its free positions
+/// (atoms, X, U, R), whose values read as a binary number — bit k for the
+/// k-th free position in closure order — form its key. Every other position
+/// is determined bottom-up, since collect() lists children first.
+class Tableau {
+ public:
+  Tableau(const Formula& f, const lang::Alphabet& alphabet) : alphabet_(alphabet) {
+    const Formula nnf = to_nnf(f);
+    std::vector<Formula> subs;
+    collect(nnf, subs);
+    const std::size_t n = subs.size();
+    pos_.resize(n);
+    int n_free = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      switch (subs[i].op()) {
-        case Op::True:
-          a[i] = true;
-          break;
-        case Op::False:
-          a[i] = false;
-          break;
-        case Op::Not:
-          a[i] = !a[kid[i][0]];
-          break;
-        case Op::And:
-          a[i] = a[kid[i][0]] && a[kid[i][1]];
-          break;
-        case Op::Or:
-          a[i] = a[kid[i][0]] || a[kid[i][1]];
-          break;
-        default:
-          break;  // free positions already set
+      Position& p = pos_[i];
+      p.op = subs[i].op();
+      for (std::size_t k = 0; k < subs[i].arity(); ++k)
+        p.kid[k] = static_cast<std::uint32_t>(index_of(subs, subs[i].child(k)));
+      const bool step = p.op == Op::Next || p.op == Op::Until || p.op == Op::Release;
+      if (p.op == Op::Atom || step) p.rank = n_free++;
+      if (p.op == Op::Atom) atom_idx_.push_back(i);
+      if (step) step_idx_.push_back(i);
+      if (p.op == Op::Until) until_idx_.push_back(i);
+    }
+    MPH_REQUIRE(n_free <= 12,
+                "closure too large for the tableau construction (cap: 12 free subformulas)");
+    root_ = index_of(subs, nnf);
+    words_ = (n + 63) / 64;
+    counters_ = until_idx_.empty() ? 1 : until_idx_.size();
+    assignment_of_.assign(std::size_t{1} << n_free, -1);
+    scratch_.resize(3 * words_);
+
+    // Symbols compatible with an assignment: a symbol's atom signature (bit
+    // k = atom k holds) must equal the assignment's atom values. Each atom
+    // is resolved against the alphabet once.
+    std::vector<std::uint32_t> symbol_sig(alphabet.size(), 0);
+    for (std::size_t k = 0; k < atom_idx_.size(); ++k) {
+      const std::string& name = subs[atom_idx_[k]].atom_name();
+      if (alphabet.prop_based()) {
+        auto idx = alphabet.prop_index(name);
+        MPH_REQUIRE(idx.has_value(), "unknown proposition: " + name);
+        for (lang::Symbol s = 0; s < alphabet.size(); ++s)
+          if (alphabet.holds(s, *idx)) symbol_sig[s] |= std::uint32_t{1} << k;
+      } else {
+        auto sym = alphabet.find(name);
+        MPH_REQUIRE(sym.has_value(), "unknown letter: " + name);
+        symbol_sig[*sym] |= std::uint32_t{1} << k;
       }
     }
-    rows.resize(rows.size() + words, 0);
-    std::uint64_t* row = &rows[rows.size() - words];
-    for (std::size_t i = 0; i < n; ++i)
-      if (a[i]) row[i / 64] |= std::uint64_t{1} << (i % 64);
+    symbols_of_sig_.resize(std::size_t{1} << atom_idx_.size());
+    for (lang::Symbol s = 0; s < alphabet.size(); ++s)
+      symbols_of_sig_[symbol_sig[s]].push_back(s);
   }
-  const std::size_t n_assigns = combos;
 
-  // Step-consistency (the symbol-independent part of a transition): the
-  // one-step laws of X, U and R at a source assignment either fail outright
-  // or pin some target positions, so (a, b) is step-consistent iff
-  // `next_ok[a]` and b agrees with `next_val[a]` on `next_mask[a]`.
-  std::vector<std::uint64_t> next_mask(n_assigns * words, 0), next_val(n_assigns * words, 0);
-  std::vector<bool> next_ok(n_assigns, true);
-  for (std::size_t ai = 0; ai < n_assigns; ++ai) {
-    std::uint64_t* mask = &next_mask[ai * words];
-    std::uint64_t* val = &next_val[ai * words];
-    auto pin = [&](std::size_t j, bool v) {
-      const std::uint64_t m = std::uint64_t{1} << (j % 64);
-      if ((mask[j / 64] & m) && bool(val[j / 64] & m) != v) next_ok[ai] = false;
-      mask[j / 64] |= m;
-      if (v) val[j / 64] |= m;
-    };
-    for (std::size_t i = 0; i < n && next_ok[ai]; ++i) {
-      const bool now = bit(ai, i);
-      switch (subs[i].op()) {
-        case Op::Next:
-          pin(kid[i][0], now);
-          break;
-        case Op::Until:  // now ⇔ β ∨ (α ∧ X now)
-          if (bit(ai, kid[i][1]))
-            next_ok[ai] = now;
-          else if (!bit(ai, kid[i][0]))
-            next_ok[ai] = !now;
-          else
-            pin(i, now);
-          break;
-        case Op::Release:  // now ⇔ β ∧ (α ∨ X now)
-          if (!bit(ai, kid[i][1]))
-            next_ok[ai] = !now;
-          else if (bit(ai, kid[i][0]))
-            next_ok[ai] = now;
-          else
-            pin(i, now);
-          break;
-        default:
-          break;
+  omega::Nba build(const Budget& budget);
+
+ private:
+  struct Position {
+    Op op = Op::True;
+    int rank = -1;  ///< bit of the key for a free position, else -1
+    std::array<std::uint32_t, 2> kid{};
+  };
+
+  static bool bit(const std::uint64_t* row, std::size_t i) {
+    return (row[i / 64] >> (i % 64)) & 1;
+  }
+  static void put(std::uint64_t* row, std::size_t i, bool v) {
+    const std::uint64_t m = std::uint64_t{1} << (i % 64);
+    row[i / 64] = v ? row[i / 64] | m : row[i / 64] & ~m;
+  }
+  const std::uint64_t* row(std::uint32_t a) const { return &rows_[a * words_]; }
+  // Enumeration scratch: the pinned positions, their values, and the
+  // assignment being filled in.
+  std::uint64_t* mask() { return scratch_.data(); }
+  std::uint64_t* val() { return scratch_.data() + words_; }
+  std::uint64_t* cur() { return scratch_.data() + 2 * words_; }
+  bool allowed(std::size_t i, bool v) {
+    return !bit(mask(), i) || bit(val(), i) == v;
+  }
+
+  /// Collects into found_, in key order, every assignment that agrees with
+  /// val() on the pinned positions mask(), obeys the present-tense half of
+  /// the U and R laws (β → U, ¬α ∧ ¬β → ¬U; ¬β → ¬R, α ∧ β → R) and fits
+  /// some symbol. Assignments that break those laws or fit no symbol have
+  /// no successor in the full tableau, so they are never built.
+  void enumerate() {
+    found_.clear();
+    extend(0, 0);
+    std::sort(found_.begin(), found_.end(),
+              [&](std::uint32_t x, std::uint32_t y) { return key_[x] < key_[y]; });
+  }
+
+  /// Backtracking over the positions from i on: a position with two
+  /// possible values branches, one with a single value is set in place, and
+  /// one with none — a broken pin or law — ends the branch.
+  void extend(std::size_t i, std::uint32_t bits) {
+    std::uint64_t* row = cur();
+    for (const std::size_t n = pos_.size(); i < n; ++i) {
+      const Position& p = pos_[i];
+      if (p.rank < 0) {
+        bool v = false;
+        switch (p.op) {
+          case Op::True:
+            v = true;
+            break;
+          case Op::Not:
+            v = !bit(row, p.kid[0]);
+            break;
+          case Op::And:
+            v = bit(row, p.kid[0]) && bit(row, p.kid[1]);
+            break;
+          case Op::Or:
+            v = bit(row, p.kid[0]) || bit(row, p.kid[1]);
+            break;
+          default:
+            break;  // False
+        }
+        if (!allowed(i, v)) return;
+        put(row, i, v);
+        continue;
       }
+      bool can_false = allowed(i, false), can_true = allowed(i, true);
+      if (p.op == Op::Until || p.op == Op::Release) {
+        const bool alpha = bit(row, p.kid[0]), beta = bit(row, p.kid[1]);
+        can_false = can_false && !(p.op == Op::Until ? beta : alpha && beta);
+        can_true = can_true && !(p.op == Op::Until ? !alpha && !beta : !beta);
+      }
+      if (!can_false && !can_true) return;
+      if (can_false && can_true) {
+        put(row, i, false);
+        extend(i + 1, bits);
+      }
+      put(row, i, can_true);
+      if (can_true) bits |= std::uint32_t{1} << p.rank;
     }
+    intern(bits);
   }
-  auto step_ok = [&](std::size_t ai, std::size_t bi) {
-    if (!next_ok[ai]) return false;
-    for (std::size_t w = 0; w < words; ++w)
-      if ((rows[bi * words + w] & next_mask[ai * words + w]) != next_val[ai * words + w])
-        return false;
-    return true;
-  };
 
-  // Until obligations for the generalized Büchi condition.
-  std::vector<std::size_t> until_idx;
-  for (std::size_t i = 0; i < n; ++i)
-    if (subs[i].op() == Op::Until) until_idx.push_back(i);
-  const std::size_t n_counters = until_idx.empty() ? 1 : until_idx.size();
-
-  // NBA states: (assignment index, counter).
-  omega::Nba out(alphabet);
-  auto state_id = [&](std::size_t ai, std::size_t c) {
-    return static_cast<omega::State>(ai * n_counters + c);
-  };
-  for (std::size_t ai = 0; ai < n_assigns; ++ai)
-    for (std::size_t c = 0; c < n_counters; ++c) {
-      budget.require(out.state_count());
-      omega::State added = out.add_state();
-      MPH_ASSERT(added == state_id(ai, c));
-    }
-
-  // Symbols compatible with each assignment: a symbol's atom signature (bit
-  // k = atom k holds) must equal the assignment's atom values. Each atom is
-  // resolved against the alphabet once.
-  std::vector<std::size_t> atom_idx;
-  for (std::size_t i = 0; i < n; ++i)
-    if (subs[i].op() == Op::Atom) atom_idx.push_back(i);
-  std::vector<std::uint32_t> symbol_sig(alphabet.size(), 0);
-  for (std::size_t k = 0; k < atom_idx.size(); ++k) {
-    const std::string& name = subs[atom_idx[k]].atom_name();
-    if (alphabet.prop_based()) {
-      auto idx = alphabet.prop_index(name);
-      MPH_REQUIRE(idx.has_value(), "unknown proposition: " + name);
-      for (lang::Symbol s = 0; s < alphabet.size(); ++s)
-        if (alphabet.holds(s, *idx)) symbol_sig[s] |= std::uint32_t{1} << k;
-    } else {
-      auto sym = alphabet.find(name);
-      MPH_REQUIRE(sym.has_value(), "unknown letter: " + name);
-      symbol_sig[*sym] |= std::uint32_t{1} << k;
-    }
-  }
-  std::vector<std::vector<lang::Symbol>> symbols_of_sig(std::size_t{1} << atom_idx.size());
-  for (lang::Symbol s = 0; s < alphabet.size(); ++s) symbols_of_sig[symbol_sig[s]].push_back(s);
-  auto symbols = [&](std::size_t ai) -> const std::vector<lang::Symbol>& {
+  /// Appends the assignment in cur() to found_, registering it on first
+  /// sight, unless it fits no symbol.
+  void intern(std::uint32_t bits) {
     std::uint32_t sig = 0;
-    for (std::size_t k = 0; k < atom_idx.size(); ++k)
-      if (bit(ai, atom_idx[k])) sig |= std::uint32_t{1} << k;
-    return symbols_of_sig[sig];
+    for (std::size_t k = 0; k < atom_idx_.size(); ++k)
+      if (bit(cur(), atom_idx_[k])) sig |= std::uint32_t{1} << k;
+    if (symbols_of_sig_[sig].empty()) return;
+    std::int32_t& a = assignment_of_[bits];
+    if (a < 0) {
+      a = static_cast<std::int32_t>(key_.size());
+      rows_.insert(rows_.end(), cur(), cur() + words_);
+      key_.push_back(bits);
+      sig_.push_back(sig);
+    }
+    found_.push_back(static_cast<std::uint32_t>(a));
+  }
+
+  /// Whether assignment a pins X, U or R position i in its successors: the
+  /// X laws fix X's operand, and a pending U (α ∧ ¬β) or R (β ∧ ¬α) keeps
+  /// its value.
+  bool pins(std::uint32_t a, std::size_t i) const {
+    const Position& p = pos_[i];
+    const bool alpha = bit(row(a), p.kid[0]), beta = bit(row(a), p.kid[1]);
+    return p.op == Op::Next || (p.op == Op::Until && alpha && !beta) ||
+           (p.op == Op::Release && beta && !alpha);
+  }
+
+  /// The pins of a as 2 bits (pinned, value) per X/U/R position: sources
+  /// with equal signatures have the same successors.
+  std::uint32_t signature(std::uint32_t a) const {
+    std::uint32_t out = 0;
+    for (std::size_t i : step_idx_) {
+      const bool pinned = pins(a, i);
+      out = out << 2 | (pinned ? 2u : 0u) | (pinned && bit(row(a), i) ? 1u : 0u);
+    }
+    return out;
+  }
+
+  /// Sets mask()/val() to the pins of a's successors; false when two pins
+  /// clash, leaving a without successors.
+  bool constrain(std::uint32_t a) {
+    std::fill(scratch_.begin(), scratch_.begin() + 2 * words_, 0);
+    for (std::size_t i : step_idx_) {
+      if (!pins(a, i)) continue;
+      const std::size_t j = pos_[i].op == Op::Next ? pos_[i].kid[0] : i;
+      const bool v = bit(row(a), i);
+      if (!allowed(j, v)) return false;
+      put(mask(), j, true);
+      put(val(), j, v);
+    }
+    return true;
+  }
+
+  /// Assignment a fulfills until u when ¬a[u] or a[β].
+  bool fulfills(std::uint32_t a, std::size_t u) const {
+    return !bit(row(a), u) || bit(row(a), pos_[u].kid[1]);
+  }
+
+  const lang::Alphabet& alphabet_;
+  std::vector<Position> pos_;
+  std::vector<std::size_t> atom_idx_, step_idx_, until_idx_;
+  std::size_t root_ = 0, words_ = 1, counters_ = 1;
+  std::vector<std::vector<lang::Symbol>> symbols_of_sig_;
+  // Assignments met so far: rows of words_ bit words, keys, atom signatures.
+  std::vector<std::uint64_t> rows_;
+  std::vector<std::uint32_t> key_, sig_;
+  std::vector<std::int32_t> assignment_of_;  // by key; -1 = not met
+  std::vector<std::uint64_t> scratch_;
+  std::vector<std::uint32_t> found_;
+};
+
+omega::Nba Tableau::build(const Budget& budget) {
+  // States are (assignment, counter) pairs in discovery order; the cap
+  // admits each as it is discovered. State s's successors are
+  // targets[s.begin .. s.end), in key order. The counter advances when the
+  // watched until is fulfilled *now*.
+  struct State {
+    std::uint32_t assign, counter;
+    std::uint32_t begin = 0, end = 0;  ///< successor range in targets
+    std::uint32_t index = ~std::uint32_t{0}, low = 0;  ///< Tarjan numbers
+    bool on_stack = false, live = false;
+  };
+  std::vector<State> states;
+  std::vector<std::int32_t> state_of;  // by assignment · counters + counter; -1 = not yet
+  auto state = [&](std::uint32_t a, std::size_t c) {
+    if (state_of.size() < key_.size() * counters_) state_of.resize(key_.size() * counters_, -1);
+    std::int32_t& id = state_of[a * counters_ + c];
+    if (id < 0) {
+      budget.require(states.size());
+      id = static_cast<std::int32_t>(states.size());
+      states.push_back({a, static_cast<std::uint32_t>(c)});
+    }
+    return static_cast<std::uint32_t>(id);
+  };
+  std::fill(scratch_.begin(), scratch_.begin() + 2 * words_, 0);
+  put(mask(), root_, true);
+  put(val(), root_, true);
+  enumerate();
+  std::vector<std::uint32_t> initial;
+  for (std::uint32_t a : found_) initial.push_back(state(a, 0));
+
+  // Successor assignments, enumerated once per signature k:
+  // succ[succ_first[k] .. succ_first[k + 1]).
+  FlatInterner<std::uint32_t, IntHash> signatures;
+  std::vector<std::uint32_t> succ, succ_first{0}, targets;
+  for (std::uint32_t s = 0; s < states.size(); ++s) {
+    if (Outcome o = budget.poll(); !is_complete(o)) throw BudgetExhausted(o);
+    const std::uint32_t a = states[s].assign;
+    const auto [k, fresh] = signatures.intern(signature(a));
+    if (fresh) {
+      if (constrain(a)) {
+        enumerate();
+        succ.insert(succ.end(), found_.begin(), found_.end());
+      }
+      succ_first.push_back(static_cast<std::uint32_t>(succ.size()));
+    }
+    const std::size_t c = states[s].counter;
+    const std::size_t next_c =
+        !until_idx_.empty() && fulfills(a, until_idx_[c]) ? (c + 1) % counters_ : c;
+    states[s].begin = static_cast<std::uint32_t>(targets.size());
+    for (std::uint32_t j = succ_first[k]; j < succ_first[k + 1]; ++j)
+      targets.push_back(state(succ[j], next_c));
+    states[s].end = static_cast<std::uint32_t>(targets.size());
+  }
+
+  // Accepting: counter-0 states whose watched until u₀ is fulfilled. The
+  // counter moves cyclically by +1, so a run wraps infinitely often iff it
+  // visits such a state infinitely often. With no untils every state is
+  // accepting.
+  auto accepting = [&](const State& s) {
+    return s.counter == 0 && (until_idx_.empty() || fulfills(s.assign, until_idx_[0]));
   };
 
-  // An assignment fulfills until u when ¬a[u] or a[β].
-  auto fulfills = [&](std::size_t ai, std::size_t u) {
-    return !bit(ai, u) || bit(ai, kid[u][1]);
+  // Live states, by Tarjan's SCC search: an SCC completes after every SCC
+  // it reaches, so it is live iff it holds a cycle through an accepting
+  // state or has an edge into a live SCC.
+  std::vector<std::uint32_t> stack;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> frames;  // (state, next edge)
+  std::uint32_t counter = 0;
+  auto visit = [&](std::uint32_t s) {
+    states[s].index = states[s].low = counter++;
+    states[s].on_stack = true;
+    stack.push_back(s);
+    frames.emplace_back(s, states[s].begin);
   };
-  for (std::size_t ai = 0; ai < n_assigns; ++ai) {
-    if (Outcome o = budget.poll(); !is_complete(o)) throw BudgetExhausted(o);
-    const std::vector<lang::Symbol>& compatible = symbols(ai);
-    for (std::size_t bi = 0; bi < n_assigns; ++bi) {
-      if (!step_ok(ai, bi)) continue;
-      for (lang::Symbol s : compatible) {
-        for (std::size_t c = 0; c < n_counters; ++c) {
-          // Counter advances when the watched until is fulfilled *now*.
-          std::size_t c2 = c;
-          if (!until_idx.empty() && fulfills(ai, until_idx[c])) {
-            c2 = (c + 1) % n_counters;
-          }
-          out.add_edge(state_id(ai, c), s, state_id(bi, c2));
+  for (std::uint32_t root = 0; root < states.size(); ++root) {
+    if (states[root].index != ~std::uint32_t{0}) continue;
+    visit(root);
+    while (!frames.empty()) {
+      auto& [q, next] = frames.back();
+      if (next < states[q].end) {
+        const std::uint32_t t = targets[next++];
+        if (states[t].index == ~std::uint32_t{0})
+          visit(t);
+        else if (states[t].on_stack)
+          states[q].low = std::min(states[q].low, states[t].index);
+        continue;
+      }
+      const State& done = states[q];
+      frames.pop_back();
+      if (!frames.empty()) {
+        State& parent = states[frames.back().first];
+        parent.low = std::min(parent.low, done.low);
+      }
+      if (done.low != done.index) continue;
+      // `done` roots an SCC: the stack from it up. Its members' on-stack
+      // successors are members; the rest lie in completed SCCs.
+      std::size_t from = stack.size() - 1;
+      while (&states[stack[from]] != &done) --from;
+      bool cycle = stack.size() - from > 1, acc = false, exit_live = false;
+      for (std::size_t j = from; j < stack.size(); ++j) {
+        const State& m = states[stack[j]];
+        acc = acc || accepting(m);
+        for (std::uint32_t e = m.begin; e < m.end; ++e) {
+          cycle = cycle || targets[e] == stack[j];
+          exit_live = exit_live || (!states[targets[e]].on_stack && states[targets[e]].live);
         }
       }
+      for (std::size_t j = from; j < stack.size(); ++j) {
+        states[stack[j]].on_stack = false;
+        states[stack[j]].live = exit_live || (cycle && acc);
+      }
+      stack.resize(from);
     }
   }
-  // Accepting: counter-0 states reached by a wrap; with state-based
-  // acceptance, mark states where counter==0 and the last until (index
-  // n_counters-1) is fulfilled... Simpler and standard: accept states where
-  // the watched until is fulfilled and the counter is at the last index —
-  // but fulfillment is a property of the *source*. Mark instead all states
-  // (a, 0) such that a run passing through counter 0 infinitely often has
-  // wrapped infinitely often. Wrapping is detectable at counter 0 only if
-  // every wrap visits it, which holds since the counter moves cyclically by
-  // +1. With no untils every state is accepting.
-  for (std::size_t ai = 0; ai < n_assigns; ++ai) {
-    if (until_idx.empty()) {
-      out.set_accepting(state_id(ai, 0));
-    } else if (fulfills(ai, until_idx[0])) {
-      // (a, 0) with u₀ fulfilled: the next wrap cycle starts here.
-      out.set_accepting(state_id(ai, 0));
-    }
+
+  // The live states, numbered by (key, counter): the order of the full
+  // tableau, where state (a, c) sits at a·counters + c.
+  std::vector<std::uint32_t> order;
+  for (std::uint32_t s = 0; s < states.size(); ++s)
+    if (states[s].live) order.push_back(s);
+  auto rank = [&](std::uint32_t s) {
+    return std::size_t{key_[states[s].assign]} * counters_ + states[s].counter;
+  };
+  std::sort(order.begin(), order.end(),
+            [&](std::uint32_t x, std::uint32_t y) { return rank(x) < rank(y); });
+  std::vector<omega::State> renumber(states.size(), 0);
+  omega::Nba out(alphabet_);
+  for (std::uint32_t s : order) {
+    renumber[s] = out.add_state();
+    out.set_accepting(renumber[s], accepting(states[s]));
   }
-  // Initial states: root true, counter 0.
-  const std::size_t root = index_of(subs, nnf);
-  for (std::size_t ai = 0; ai < n_assigns; ++ai)
-    if (bit(ai, root)) out.add_initial(state_id(ai, 0));
+  for (std::uint32_t s : order)
+    for (std::uint32_t e = states[s].begin; e < states[s].end; ++e)
+      if (states[targets[e]].live)
+        for (lang::Symbol sym : symbols_of_sig_[sig_[states[s].assign]])
+          out.add_edge(renumber[s], sym, renumber[targets[e]]);
+  for (std::uint32_t s : initial)
+    if (states[s].live) out.add_initial(renumber[s]);
   return out;
+}
+
+omega::Nba to_nba_impl(const Formula& f, const lang::Alphabet& alphabet,
+                       const Budget& budget) {
+  return Tableau(f, alphabet).build(budget);
 }
 
 }  // namespace

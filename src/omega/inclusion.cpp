@@ -24,37 +24,36 @@ std::string_view to_string(InclusionVerdict v) {
 InclusionResult included(const Nba& a, const Nba& b, const InclusionOptions& options) {
   MPH_REQUIRE(a.alphabet() == b.alphabet(), "inclusion requires a common alphabet");
   InclusionResult out;
+  // Trim A to states that matter for an accepting A-run: the product's
+  // acceptance already demands A-accepting states infinitely often, so
+  // dead A-states only inflate the product.
+  auto reach = detail::nba_reachable(a);
+  auto live = detail::nba_live(a);
+  std::vector<bool> keep(a.state_count());
+  bool any_initial = false;
+  for (State q = 0; q < a.state_count(); ++q) keep[q] = reach[q] && live[q];
+  for (State q : a.initial_states()) any_initial = any_initial || keep[q];
+  if (!any_initial) {
+    // L(A) = ∅ ⊆ anything.
+    out.verdict = InclusionVerdict::Included;
+    return out;
+  }
+
+  ComplementOptions copts;
+  copts.budget = options.budget;
+  copts.algorithm = options.algorithm;
+  copts.decompose = options.decompose;
+  ComplementEngine eng(b, copts);
+  const std::size_t k = eng.part_count();
+  // Node ids are product states, interned in BFS order.
+  FlatInterner<std::vector<std::uint32_t>, IntRangeHash> ids;
   try {
-    // Trim A to states that matter for an accepting A-run: the product's
-    // acceptance already demands A-accepting states infinitely often, so
-    // dead A-states only inflate the product.
-    auto reach = detail::nba_reachable(a);
-    auto live = detail::nba_live(a);
-    std::vector<bool> keep(a.state_count());
-    bool any_initial = false;
-    for (State q = 0; q < a.state_count(); ++q) keep[q] = reach[q] && live[q];
-    for (State q : a.initial_states()) any_initial = any_initial || keep[q];
-    if (!any_initial) {
-      // L(A) = ∅ ⊆ anything.
-      out.verdict = InclusionVerdict::Included;
-      return out;
-    }
-
-    ComplementOptions copts;
-    copts.budget = options.budget;
-    copts.algorithm = options.algorithm;
-    copts.decompose = options.decompose;
-    ComplementEngine eng(b, copts);
-    const std::size_t k = eng.part_count();
-
     // Product node = (A-state, part macrostates…, counter c ∈ 0..k); layer 0
     // is A's acceptance, layer i+1 is part i. The product is materialized
     // only over what A's runs reach (lazy complement successors), then fed
     // to the standard accepting-lasso search — its symbols are the input's,
     // so a counterexample falls straight out.
     Nba product(a.alphabet());
-    // Node ids are product states, interned in BFS order.
-    FlatInterner<std::vector<std::uint32_t>, IntRangeHash> ids;
     auto layer_accepting = [&](const std::vector<std::uint32_t>& node) {
       const std::uint32_t c = node.back();
       return c == 0 ? a.accepting(node[0]) : eng.part_accepting(c - 1, node[c]);
@@ -109,8 +108,6 @@ InclusionResult included(const Nba& a, const Nba& b, const InclusionOptions& opt
         }
       }
     }
-    out.product_states = ids.size();
-    out.complement = eng.stats();
     if (auto cex = accepting_lasso(product)) {
       out.verdict = InclusionVerdict::NotIncluded;
       out.counterexample = std::move(*cex);
@@ -122,6 +119,9 @@ InclusionResult included(const Nba& a, const Nba& b, const InclusionOptions& opt
     out.outcome = e.outcome();
     out.counterexample.reset();
   }
+  // What was built, also when the budget ran out part-way.
+  out.product_states = ids.size();
+  out.complement = eng.stats();
   return out;
 }
 

@@ -12,6 +12,7 @@
 #include "src/fts/programs.hpp"
 #include "src/ltl/eval.hpp"
 #include "src/ltl/patterns.hpp"
+#include "src/ltl/to_nba.hpp"
 
 namespace mph::fts {
 namespace {
@@ -249,6 +250,33 @@ TEST(Budgets, ZeroStateBudgetReturnsImmediately) {
   EXPECT_TRUE(diags.has_code("MPH-V004"));
 }
 
+TEST(Budgets, TableauExhaustionIsReported) {
+  // The cap admits the state graph but lies below the reachable tableau of
+  // ¬spec, so the NBA fallback stops inside the tableau construction.
+  Program prog = programs::peterson();
+  const ltl::Formula spec = parse_formula("G(t1 -> X X c1)");
+  const std::size_t nodes = check(prog.system, spec, prog.atoms).stats.state_graph_nodes;
+  const auto tableau =
+      ltl::to_nba(ltl::f_not(spec), lang::Alphabet::of_props(spec.atoms()));
+  ASSERT_LT(nodes, tableau.state_count());
+  CheckOptions options;
+  options.force_scc = true;
+  options.budget.with_state_cap(nodes);
+  analysis::DiagnosticEngine diags;
+  options.diagnostics = &diags;
+  const auto r = check(prog.system, spec, prog.atoms, options);
+  EXPECT_EQ(r.outcome, Outcome::BudgetStates);
+  EXPECT_FALSE(r.holds);
+  EXPECT_TRUE(r.stats.nba_fallback);
+  EXPECT_EQ(r.stats.product_states, 0u);
+  bool reported = false;
+  for (const auto& d : diags.diagnostics())
+    reported = reported || (d.code == "MPH-V004" &&
+                            d.message.find("the ¬spec NBA tableau construction") !=
+                                std::string::npos);
+  EXPECT_TRUE(reported);
+}
+
 TEST(Budgets, PastDeadlineReportsBudgetDeadline) {
   Program prog = programs::peterson();
   CheckOptions options;
@@ -302,6 +330,8 @@ TEST(Budgets, ExhaustionIsDeterministicAcrossThreadCounts) {
       parse_formula("G F c1"),       // SCC engine builds the full product
       parse_formula("G(t1 -> F c1)"),
       parse_formula("F(t1 & X(!t1 & X t1))"),  // NBA fallback
+      parse_formula("F c1"),              // product overruns the cap
+      parse_formula("G(t1 -> X X c1)"),   // NBA fallback; tableau overruns the cap
   };
   CheckOptions seq;
   seq.force_scc = true;  // the general route: full products and the NBA tableau
@@ -433,7 +463,7 @@ std::vector<std::string> route_rows() {
   for (const RouteModel& m : route_battery()) {
     const Program prog = m.make();
     // A state cap that admits the state graph exactly: exploration completes
-    // and every product search or tableau past it runs out of budget.
+    // and a product search or tableau that needs more states runs out.
     const std::size_t nodes =
         check(prog.system, parse_formula(m.specs.front()), prog.atoms).stats.state_graph_nodes;
     std::vector<std::pair<std::string, CheckOptions>> option_sets(5);
@@ -452,6 +482,10 @@ std::vector<std::string> route_rows() {
         analysis::DiagnosticEngine diags;
         options.diagnostics = &diags;
         const CheckResult r = check(prog.system, parse_formula(spec), prog.atoms, options);
+        if (r.counterexample) {
+          EXPECT_TRUE(replay_violates(prog, parse_formula(spec), r))
+              << m.name << ' ' << spec << ' ' << name;
+        }
         rows.push_back(route_row(m.name, spec, name, r, diags));
       }
   }

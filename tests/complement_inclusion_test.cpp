@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/fuzz/generators.hpp"
+#include "src/ltl/to_nba.hpp"
 #include "src/omega/complement.hpp"
 #include "src/omega/inclusion.hpp"
 #include "src/omega/lasso.hpp"
@@ -174,6 +175,23 @@ TEST(Inclusion, BudgetRefusalIsDeterministic) {
     EXPECT_EQ(r1.outcome, Outcome::BudgetStates);
     EXPECT_FALSE(r1.counterexample.has_value());
   }
+}
+
+TEST(Inclusion, UnknownReportsWhatWasBuilt) {
+  // F q ⊆ F(p ∧ X(p U q)) runs out at the 200k cap serve and the benches
+  // use; the product and complement telemetry still count what was built.
+  const lang::Alphabet sigma = lang::Alphabet::of_props({"p", "q"});
+  InclusionOptions o;
+  o.budget.with_state_cap(200000);
+  const InclusionResult r =
+      included(ltl::to_nba(ltl::parse_formula("F q"), sigma),
+               ltl::to_nba(ltl::parse_formula("F (p & X (p U q))"), sigma), o);
+  EXPECT_EQ(r.verdict, InclusionVerdict::Unknown);
+  EXPECT_EQ(r.outcome, Outcome::BudgetStates);
+  EXPECT_FALSE(r.counterexample.has_value());
+  EXPECT_GT(r.product_states, 0u);
+  EXPECT_GT(r.complement.parts, 0u);
+  EXPECT_GT(r.complement.macrostates, 0u);
 }
 
 TEST(Inclusion, StrictSubsetDirections) {

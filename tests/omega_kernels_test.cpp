@@ -18,6 +18,10 @@
 // edge, or moves an exhaustion point, shows up as a row diff against
 // tests/corpus/omega_kernels.golden. After an intended change, rerun with
 // MPH_REGEN_KERNELS=1 to rewrite the rows, and review the diff.
+//
+// TableauShape checks the tableau's trim invariant — every state reachable
+// and live — on the battery plus random formulas, and pins the empty NBA
+// an unsatisfiable formula gets.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -30,12 +34,17 @@
 #include <vector>
 
 #include "src/core/classify.hpp"
+#include "src/fts/checker.hpp"
+#include "src/fts/programs.hpp"
+#include "src/fuzz/generators.hpp"
 #include "src/lang/dfa_ops.hpp"
 #include "src/lang/nfa.hpp"
 #include "src/ltl/ast.hpp"
 #include "src/ltl/to_nba.hpp"
 #include "src/omega/inclusion.hpp"
 #include "src/omega/nba.hpp"
+#include "src/omega/nba_internal.hpp"
+#include "src/support/rng.hpp"
 
 namespace mph {
 namespace {
@@ -169,15 +178,15 @@ std::string side_row(const ltl::Formula& g, const lang::Alphabet& sigma,
   }
   const std::size_t n = nba->state_count();
   std::string row = "nba " + nba_summary(*nba);
-  if (n > 0)
+  if (n > 0) {
     row += " " + outcome_at(n - 1,
                             ltl::to_nba(g, sigma, Budget().with_state_cap(n - 1)).outcome);
-  if (n == 0) return row;
-  const lang::Nfa skeleton = omega::pref_skeleton(*nba);
-  const lang::Dfa det = lang::determinize(skeleton);
-  const std::size_t d = det.state_count();
-  row += "\tdet " + dfa_summary(det) + " " +
-         outcome_at(d - 1, lang::determinize(skeleton, Budget().with_state_cap(d - 1)).outcome);
+    const lang::Nfa skeleton = omega::pref_skeleton(*nba);
+    const lang::Dfa det = lang::determinize(skeleton);
+    const std::size_t d = det.state_count();
+    const Outcome below = lang::determinize(skeleton, Budget().with_state_cap(d - 1)).outcome;
+    row += "\tdet " + dfa_summary(det) + " " + outcome_at(d - 1, below);
+  }
   row += "\tpref " + dfa_summary(omega::pref(*nba));
   return row;
 }
@@ -246,7 +255,8 @@ std::string inclusion_row(const char* left, const char* right) {
   return row;
 }
 
-std::vector<std::string> kernel_rows() {
+/// The battery's formulas, each once, in row order.
+std::vector<std::string> battery_formulas() {
   std::vector<std::string> formulas;
   auto add = [&](const std::string& text) {
     for (const auto& f : formulas)
@@ -259,8 +269,12 @@ std::vector<std::string> kernel_rows() {
   }
   for (const char* f : kRescue) add(f);
   for (const char* f : kRefused) add(f);
+  return formulas;
+}
+
+std::vector<std::string> kernel_rows() {
   std::vector<std::string> rows;
-  for (const auto& f : formulas)
+  for (const auto& f : battery_formulas())
     for (auto& row : formula_rows(f)) rows.push_back(std::move(row));
   for (auto [l, r] : kQueries) {
     rows.push_back(inclusion_row(l, r));
@@ -283,6 +297,73 @@ TEST(KernelPinning, BatteryMatchesGoldenRows) {
   for (std::string line; std::getline(in, line);) golden.push_back(line);
   ASSERT_EQ(rows.size(), golden.size());
   for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i], golden[i]) << "row " << i;
+}
+
+/// Whether every state of `n` is reachable and reaches an accepting cycle,
+/// by the omega library's own graph helpers; names the first bad state.
+std::string trim_violation(const omega::Nba& n) {
+  const std::vector<bool> reach = omega::detail::nba_reachable(n);
+  const std::vector<bool> live = omega::detail::nba_live(n);
+  for (omega::State q = 0; q < n.state_count(); ++q) {
+    if (!reach[q]) return "state " + std::to_string(q) + " is unreachable";
+    if (!live[q]) return "state " + std::to_string(q) + " reaches no accepting cycle";
+  }
+  return "";
+}
+
+TEST(TableauShape, EveryStateIsReachableAndLive) {
+  std::vector<std::string> formulas = battery_formulas();
+  Rng rng(18);
+  const std::vector<std::string> atoms{"p", "q", "r"};
+  for (int i = 0; i < 200; ++i) {
+    const auto nodes = static_cast<std::size_t>(rng.between(3, 12));
+    formulas.push_back(
+        fuzz::random_ltl(rng, atoms, nodes, fuzz::LtlFlavor::FutureOnly).to_string());
+  }
+  std::size_t built = 0;
+  for (const auto& text : formulas) {
+    const ltl::Formula f = ltl::parse_formula(text);
+    std::vector<std::string> names = f.atoms();
+    if (names.empty()) names.emplace_back("p");
+    const lang::Alphabet sigma = lang::Alphabet::of_props(names);
+    for (const ltl::Formula& g : {f, ltl::f_not(f)}) {
+      std::optional<omega::Nba> nba;
+      try {
+        nba = ltl::to_nba(g, sigma);
+      } catch (const std::invalid_argument&) {
+        continue;  // closure over the 12-free-subformula cap
+      }
+      ++built;
+      EXPECT_EQ(trim_violation(*nba), "") << g.to_string();
+    }
+  }
+  EXPECT_GT(built, 400u);
+}
+
+TEST(TableauShape, UnsatisfiableFormulaGivesTheEmptyNba) {
+  const lang::Alphabet sigma = lang::Alphabet::of_props({"p"});
+  const omega::Nba any = ltl::to_nba(ltl::parse_formula("F p"), sigma);
+  for (const char* text : {"p & !p", "G F p & F G !p"}) {
+    const omega::Nba nba = ltl::to_nba(ltl::parse_formula(text), sigma);
+    EXPECT_EQ(nba.state_count(), 0u) << text;
+    EXPECT_TRUE(nba.initial_states().empty()) << text;
+    EXPECT_TRUE(lang::is_empty(omega::pref(nba))) << text;
+    EXPECT_TRUE(omega::is_empty(nba)) << text;
+    EXPECT_EQ(omega::included(nba, any).verdict, omega::InclusionVerdict::Included) << text;
+    EXPECT_EQ(omega::included(any, nba).verdict, omega::InclusionVerdict::NotIncluded) << text;
+  }
+  // G true — written over an atom, since the checker needs one: its
+  // negation's tableau is empty, and the checker proves it on both routes.
+  const ltl::Formula valid = ltl::parse_formula("G (c1 | !c1)");
+  EXPECT_EQ(ltl::to_nba(ltl::f_not(valid), lang::Alphabet::of_props({"c1"})).state_count(), 0u);
+  const fts::programs::Program prog = fts::programs::peterson();
+  for (bool force_scc : {false, true}) {
+    fts::CheckOptions options;
+    options.force_scc = force_scc;
+    const fts::CheckResult r = fts::check(prog.system, valid, prog.atoms, options);
+    EXPECT_TRUE(r.holds) << "force_scc=" << force_scc;
+    EXPECT_TRUE(is_complete(r.outcome)) << "force_scc=" << force_scc;
+  }
 }
 
 }  // namespace
