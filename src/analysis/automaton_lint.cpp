@@ -192,22 +192,8 @@ void lint_automaton(const omega::Nba& n, std::string_view subject, DiagnosticEng
   const std::size_t sigma = n.alphabet().size();
 
   // Reachability and structural edge checks.
-  std::vector<bool> reach(n.state_count(), false);
-  std::deque<State> queue;
-  for (State q : n.initial_states())
-    if (!reach[q]) {
-      reach[q] = true;
-      queue.push_back(q);
-    }
-  while (!queue.empty()) {
-    State q = queue.front();
-    queue.pop_front();
-    for (auto [s, t] : n.edges(q))
-      if (!reach[t]) {
-        reach[t] = true;
-        queue.push_back(t);
-      }
-  }
+  const omega::MarkedGraph g = omega::to_graph(n);
+  const std::vector<bool> reach = omega::graph_reachable(g);
   std::vector<State> unreachable, marked_unreachable, incomplete, duplicated;
   for (State q = 0; q < n.state_count(); ++q) {
     if (!reach[q]) {
@@ -263,35 +249,7 @@ void lint_automaton(const omega::Nba& n, std::string_view subject, DiagnosticEng
   // Dead region: reachable states from which no accepting cycle is
   // reachable. Mirrors the DetOmega minimality rule (one trap is idiomatic —
   // though an NBA can simply omit the edges instead).
-  omega::MarkedGraph g;
-  g.succ.resize(n.state_count());
-  g.marks.resize(n.state_count(), 0);
-  g.initial = n.initial_states().front();
-  for (State q = 0; q < n.state_count(); ++q) {
-    for (auto [s, t] : n.edges(q)) g.succ[q].push_back(t);
-    std::sort(g.succ[q].begin(), g.succ[q].end());
-    g.succ[q].erase(std::unique(g.succ[q].begin(), g.succ[q].end()), g.succ[q].end());
-    if (n.accepting(q)) g.marks[q] = omega::mark_bit(0);
-  }
-  std::vector<bool> allowed(n.state_count(), true);
-  auto good = omega::good_loop_states_within(g, allowed, Acceptance::buchi(0));
-  // Backward closure of the good-loop states = live states.
-  std::vector<std::vector<State>> pred(n.state_count());
-  for (State q = 0; q < n.state_count(); ++q)
-    for (State t : g.succ[q]) pred[t].push_back(q);
-  std::vector<bool> live = good;
-  std::deque<State> bfs;
-  for (State q = 0; q < n.state_count(); ++q)
-    if (live[q]) bfs.push_back(q);
-  while (!bfs.empty()) {
-    State q = bfs.front();
-    bfs.pop_front();
-    for (State p : pred[q])
-      if (!live[p]) {
-        live[p] = true;
-        bfs.push_back(p);
-      }
-  }
+  const std::vector<bool> live = omega::live_states(g, Acceptance::buchi(0));
   std::vector<State> dead;
   for (State q = 0; q < n.state_count(); ++q)
     if (reach[q] && !live[q]) dead.push_back(q);

@@ -172,18 +172,7 @@ std::size_t obligation_chain(const DetOmega& m, std::size_t max_scc_size) {
   for (std::size_t i = 0; i < sccs.size(); ++i) {
     MPH_REQUIRE(sccs[i].size() <= max_scc_size,
                 "SCC exceeds max_scc_size for obligation chain analysis");
-    // Sub-graph containing only this SCC.
-    MarkedGraph sub;
-    std::vector<std::uint32_t> local(g.size(), ~std::uint32_t{0});
-    for (std::uint32_t j = 0; j < sccs[i].size(); ++j) local[sccs[i][j]] = j;
-    sub.succ.resize(sccs[i].size());
-    sub.marks.resize(sccs[i].size());
-    sub.initial = 0;
-    for (std::uint32_t j = 0; j < sccs[i].size(); ++j) {
-      sub.marks[j] = g.marks[sccs[i][j]];
-      for (State t : g.succ[sccs[i][j]])
-        if (local[t] != ~std::uint32_t{0}) sub.succ[j].push_back(local[t]);
-    }
+    const MarkedGraph sub = omega::induced_subgraph(g, sccs[i]);
     bool has_acc = omega::find_good_loop(sub, m.acceptance()).has_value();
     bool has_rej = omega::find_good_loop(sub, m.acceptance().negate()).has_value();
     MPH_REQUIRE(!(has_acc && has_rej),
@@ -192,26 +181,9 @@ std::size_t obligation_chain(const DetOmega& m, std::size_t max_scc_size) {
     value[i] = has_acc;
   }
   // Reachability between nontrivial SCCs (transitive, via the full graph).
-  std::vector<std::int32_t> scc_of(g.size(), -1);
-  for (std::size_t i = 0; i < sccs.size(); ++i)
-    for (State q : sccs[i]) scc_of[q] = static_cast<std::int32_t>(i);
   std::vector<std::vector<bool>> reaches(sccs.size());
   for (std::size_t i = 0; i < sccs.size(); ++i) {
-    std::vector<bool> seen(g.size(), false);
-    std::deque<State> queue;
-    for (State q : sccs[i]) {
-      seen[q] = true;
-      queue.push_back(q);
-    }
-    while (!queue.empty()) {
-      State q = queue.front();
-      queue.pop_front();
-      for (State t : g.succ[q])
-        if (!seen[t]) {
-          seen[t] = true;
-          queue.push_back(t);
-        }
-    }
+    const std::vector<bool> seen = omega::forward_closure(g, omega::state_mask(g, sccs[i]));
     reaches[i].resize(sccs.size(), false);
     for (std::size_t j = 0; j < sccs.size(); ++j)
       if (j != i) reaches[i][j] = seen[sccs[j][0]];

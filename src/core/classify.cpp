@@ -98,19 +98,8 @@ bool landweber_recurrence(const DetOmega& m) {
       omega::MarkSet present = 0;
       for (omega::State q : scc) present |= g.marks[q];
       if ((present & clause.require) != clause.require) continue;
-      // Build the sub-graph induced by this SCC and probe it for an
-      // accepting loop.
-      omega::MarkedGraph sub;
-      std::vector<std::uint32_t> local(g.size(), ~std::uint32_t{0});
-      for (std::uint32_t j = 0; j < scc.size(); ++j) local[scc[j]] = j;
-      sub.succ.resize(scc.size());
-      sub.marks.resize(scc.size());
-      sub.initial = 0;
-      for (std::uint32_t j = 0; j < scc.size(); ++j) {
-        sub.marks[j] = g.marks[scc[j]];
-        for (omega::State t : g.succ[scc[j]])
-          if (local[t] != ~std::uint32_t{0}) sub.succ[j].push_back(local[t]);
-      }
+      // Probe the sub-graph induced by this SCC for an accepting loop.
+      const omega::MarkedGraph sub = omega::induced_subgraph(g, scc);
       if (omega::find_good_loop(sub, m.acceptance()).has_value()) return false;
     }
   }

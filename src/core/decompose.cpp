@@ -4,6 +4,7 @@
 #include <map>
 
 #include "src/omega/emptiness.hpp"
+#include "src/omega/graph.hpp"
 #include "src/omega/operators.hpp"
 #include "src/support/check.hpp"
 
@@ -22,26 +23,9 @@ SafetyLivenessParts sl_decompose(const DetOmega& m) {
 
 bool is_uniform_liveness(const DetOmega& m) {
   // States reachable by at least one symbol.
-  std::vector<bool> seen(m.state_count(), false);
-  std::vector<State> stack;
-  for (Symbol s = 0; s < m.alphabet().size(); ++s) {
-    State t = m.next(m.initial(), s);
-    if (!seen[t]) {
-      seen[t] = true;
-      stack.push_back(t);
-    }
-  }
-  while (!stack.empty()) {
-    State q = stack.back();
-    stack.pop_back();
-    for (Symbol s = 0; s < m.alphabet().size(); ++s) {
-      State t = m.next(q, s);
-      if (!seen[t]) {
-        seen[t] = true;
-        stack.push_back(t);
-      }
-    }
-  }
+  const omega::MarkedGraph g = omega::to_graph(m);
+  const std::vector<bool> seen =
+      omega::forward_closure(g, omega::state_mask(g, g.succ[m.initial()]));
   std::vector<State> starts;
   for (State q = 0; q < m.state_count(); ++q)
     if (seen[q]) starts.push_back(q);

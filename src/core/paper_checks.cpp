@@ -1,7 +1,6 @@
 #include "src/core/paper_checks.hpp"
 
-#include <deque>
-
+#include "src/omega/graph.hpp"
 #include "src/support/check.hpp"
 
 namespace mph::core::paper {
@@ -9,7 +8,6 @@ namespace mph::core::paper {
 using omega::DetOmega;
 using omega::State;
 using omega::StreettPair;
-using omega::Symbol;
 
 namespace {
 
@@ -30,26 +28,6 @@ std::vector<bool> good_states(const DetOmega& m, const std::vector<StreettPair>&
     for (State q = 0; q < m.state_count(); ++q) g[q] = g[q] && in[q];
   }
   return g;
-}
-
-/// Forward closure: states reachable from any seed state.
-std::vector<bool> closure(const DetOmega& m, const std::vector<bool>& seed) {
-  std::vector<bool> out = seed;
-  std::deque<State> queue;
-  for (State q = 0; q < m.state_count(); ++q)
-    if (out[q]) queue.push_back(q);
-  while (!queue.empty()) {
-    State q = queue.front();
-    queue.pop_front();
-    for (Symbol s = 0; s < m.alphabet().size(); ++s) {
-      State t = m.next(q, s);
-      if (!out[t]) {
-        out[t] = true;
-        queue.push_back(t);
-      }
-    }
-  }
-  return out;
 }
 
 /// The printed §5.1 procedures are only sound for a single Streett pair
@@ -74,7 +52,7 @@ bool literal_safety_check(const DetOmega& m, const std::vector<StreettPair>& pai
   auto g = good_states(m, pairs);
   std::vector<bool> b(m.state_count());
   for (State q = 0; q < m.state_count(); ++q) b[q] = !g[q];
-  auto b_hat = closure(m, b);
+  auto b_hat = omega::forward_closure(omega::to_graph(m), b);
   for (State q = 0; q < m.state_count(); ++q)
     if (b_hat[q] && g[q]) return false;
   return true;
@@ -84,7 +62,7 @@ bool literal_guarantee_check(const DetOmega& m, const std::vector<StreettPair>& 
                              analysis::DiagnosticEngine* diagnostics) {
   warn_if_multi_pair(pairs.size(), "guarantee", diagnostics);
   auto g = good_states(m, pairs);
-  auto g_hat = closure(m, g);
+  auto g_hat = omega::forward_closure(omega::to_graph(m), g);
   for (State q = 0; q < m.state_count(); ++q)
     if (g_hat[q] && !g[q]) return false;
   return true;

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "src/omega/graph.hpp"
 #include "src/support/check.hpp"
 #include "src/support/flat_hash.hpp"
 
@@ -310,14 +311,11 @@ class Tableau {
 
 omega::Nba Tableau::build(const Budget& budget) {
   // States are (assignment, counter) pairs in discovery order; the cap
-  // admits each as it is discovered. State s's successors are
-  // targets[s.begin .. s.end), in key order. The counter advances when the
-  // watched until is fulfilled *now*.
+  // admits each as it is discovered. State s's successors are g.succ[s], in
+  // key order. The counter advances when the watched until is fulfilled
+  // *now*.
   struct State {
     std::uint32_t assign, counter;
-    std::uint32_t begin = 0, end = 0;  ///< successor range in targets
-    std::uint32_t index = ~std::uint32_t{0}, low = 0;  ///< Tarjan numbers
-    bool on_stack = false, live = false;
   };
   std::vector<State> states;
   std::vector<std::int32_t> state_of;  // by assignment · counters + counter; -1 = not yet
@@ -335,13 +333,14 @@ omega::Nba Tableau::build(const Budget& budget) {
   put(mask(), root_, true);
   put(val(), root_, true);
   enumerate();
-  std::vector<std::uint32_t> initial;
-  for (std::uint32_t a : found_) initial.push_back(state(a, 0));
+  omega::MarkedGraph g;
+  g.initial.clear();
+  for (std::uint32_t a : found_) g.initial.push_back(state(a, 0));
 
   // Successor assignments, enumerated once per signature k:
   // succ[succ_first[k] .. succ_first[k + 1]).
   FlatInterner<std::uint32_t, IntHash> signatures;
-  std::vector<std::uint32_t> succ, succ_first{0}, targets;
+  std::vector<std::uint32_t> succ, succ_first{0};
   for (std::uint32_t s = 0; s < states.size(); ++s) {
     if (Outcome o = budget.poll(); !is_complete(o)) throw BudgetExhausted(o);
     const std::uint32_t a = states[s].assign;
@@ -356,78 +355,28 @@ omega::Nba Tableau::build(const Budget& budget) {
     const std::size_t c = states[s].counter;
     const std::size_t next_c =
         !until_idx_.empty() && fulfills(a, until_idx_[c]) ? (c + 1) % counters_ : c;
-    states[s].begin = static_cast<std::uint32_t>(targets.size());
+    std::vector<omega::State>& targets = g.succ.emplace_back();
+    targets.reserve(succ_first[k + 1] - succ_first[k]);
     for (std::uint32_t j = succ_first[k]; j < succ_first[k + 1]; ++j)
       targets.push_back(state(succ[j], next_c));
-    states[s].end = static_cast<std::uint32_t>(targets.size());
   }
 
-  // Accepting: counter-0 states whose watched until u₀ is fulfilled. The
-  // counter moves cyclically by +1, so a run wraps infinitely often iff it
-  // visits such a state infinitely often. With no untils every state is
-  // accepting.
-  auto accepting = [&](const State& s) {
-    return s.counter == 0 && (until_idx_.empty() || fulfills(s.assign, until_idx_[0]));
-  };
-
-  // Live states, by Tarjan's SCC search: an SCC completes after every SCC
-  // it reaches, so it is live iff it holds a cycle through an accepting
-  // state or has an edge into a live SCC.
-  std::vector<std::uint32_t> stack;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> frames;  // (state, next edge)
-  std::uint32_t counter = 0;
-  auto visit = [&](std::uint32_t s) {
-    states[s].index = states[s].low = counter++;
-    states[s].on_stack = true;
-    stack.push_back(s);
-    frames.emplace_back(s, states[s].begin);
-  };
-  for (std::uint32_t root = 0; root < states.size(); ++root) {
-    if (states[root].index != ~std::uint32_t{0}) continue;
-    visit(root);
-    while (!frames.empty()) {
-      auto& [q, next] = frames.back();
-      if (next < states[q].end) {
-        const std::uint32_t t = targets[next++];
-        if (states[t].index == ~std::uint32_t{0})
-          visit(t);
-        else if (states[t].on_stack)
-          states[q].low = std::min(states[q].low, states[t].index);
-        continue;
-      }
-      const State& done = states[q];
-      frames.pop_back();
-      if (!frames.empty()) {
-        State& parent = states[frames.back().first];
-        parent.low = std::min(parent.low, done.low);
-      }
-      if (done.low != done.index) continue;
-      // `done` roots an SCC: the stack from it up. Its members' on-stack
-      // successors are members; the rest lie in completed SCCs.
-      std::size_t from = stack.size() - 1;
-      while (&states[stack[from]] != &done) --from;
-      bool cycle = stack.size() - from > 1, acc = false, exit_live = false;
-      for (std::size_t j = from; j < stack.size(); ++j) {
-        const State& m = states[stack[j]];
-        acc = acc || accepting(m);
-        for (std::uint32_t e = m.begin; e < m.end; ++e) {
-          cycle = cycle || targets[e] == stack[j];
-          exit_live = exit_live || (!states[targets[e]].on_stack && states[targets[e]].live);
-        }
-      }
-      for (std::size_t j = from; j < stack.size(); ++j) {
-        states[stack[j]].on_stack = false;
-        states[stack[j]].live = exit_live || (cycle && acc);
-      }
-      stack.resize(from);
-    }
-  }
+  // Accepting (mark 0): counter-0 states whose watched until u₀ is
+  // fulfilled. The counter moves cyclically by +1, so a run wraps infinitely
+  // often iff it visits such a state infinitely often. With no untils every
+  // state is accepting.
+  g.marks.resize(states.size(), 0);
+  for (std::uint32_t s = 0; s < states.size(); ++s)
+    if (states[s].counter == 0 &&
+        (until_idx_.empty() || fulfills(states[s].assign, until_idx_[0])))
+      g.marks[s] = omega::mark_bit(0);
+  const std::vector<bool> live = omega::live_states(g, omega::Acceptance::buchi(0));
 
   // The live states, numbered by (key, counter): the order of the full
   // tableau, where state (a, c) sits at a·counters + c.
   std::vector<std::uint32_t> order;
   for (std::uint32_t s = 0; s < states.size(); ++s)
-    if (states[s].live) order.push_back(s);
+    if (live[s]) order.push_back(s);
   auto rank = [&](std::uint32_t s) {
     return std::size_t{key_[states[s].assign]} * counters_ + states[s].counter;
   };
@@ -437,15 +386,15 @@ omega::Nba Tableau::build(const Budget& budget) {
   omega::Nba out(alphabet_);
   for (std::uint32_t s : order) {
     renumber[s] = out.add_state();
-    out.set_accepting(renumber[s], accepting(states[s]));
+    out.set_accepting(renumber[s], g.marks[s] != 0);
   }
   for (std::uint32_t s : order)
-    for (std::uint32_t e = states[s].begin; e < states[s].end; ++e)
-      if (states[targets[e]].live)
+    for (omega::State t : g.succ[s])
+      if (live[t])
         for (lang::Symbol sym : symbols_of_sig_[sig_[states[s].assign]])
-          out.add_edge(renumber[s], sym, renumber[targets[e]]);
-  for (std::uint32_t s : initial)
-    if (states[s].live) out.add_initial(renumber[s]);
+          out.add_edge(renumber[s], sym, renumber[t]);
+  for (omega::State s : g.initial)
+    if (live[s]) out.add_initial(renumber[s]);
   return out;
 }
 

@@ -5,7 +5,8 @@
 // obligation of each Until — and transitions respect the one-step
 // expansion laws of U/R/X. Only the pairs reachable from the initial
 // assignments are expanded, and only those that can still reach an
-// accepting cycle are kept.
+// accepting cycle are kept: the expanded pairs form an omega::MarkedGraph
+// (accepting pairs carry mark 0) and omega::live_states picks the survivors.
 //
 // Used for semantic checks on arbitrary future formulae (safety, guarantee,
 // liveness — see semantic.hpp) and for model checking; the deterministic

@@ -1,9 +1,8 @@
 #include "src/omega/complement.hpp"
 
 #include <algorithm>
-#include <deque>
 
-#include "src/omega/nba_internal.hpp"
+#include "src/omega/graph.hpp"
 #include "src/support/check.hpp"
 #include "src/support/flat_hash.hpp"
 
@@ -37,32 +36,15 @@ std::vector<State> intersect_sorted(const std::vector<State>& a, const std::vect
 
 /// States of `n` reachable from an accepting state (reflexively) — the
 /// deterministic part Q_D of a semi-deterministic automaton.
-std::vector<bool> reachable_from_accepting(const Nba& n) {
-  std::vector<bool> seen(n.state_count(), false);
-  std::deque<State> queue;
-  for (State q = 0; q < n.state_count(); ++q)
-    if (n.accepting(q)) {
-      seen[q] = true;
-      queue.push_back(q);
-    }
-  while (!queue.empty()) {
-    State q = queue.front();
-    queue.pop_front();
-    for (auto [s, t] : n.edges(q)) {
-      (void)s;
-      if (!seen[t]) {
-        seen[t] = true;
-        queue.push_back(t);
-      }
-    }
-  }
-  return seen;
+std::vector<bool> deterministic_part(const Nba& n) {
+  const MarkedGraph g = to_graph(n);
+  std::vector<bool> accepting(g.size());
+  for (State q = 0; q < g.size(); ++q) accepting[q] = g.marks[q] != 0;
+  return forward_closure(g, std::move(accepting));
 }
 
-}  // namespace
-
-bool is_semi_deterministic(const Nba& n) {
-  auto det = reachable_from_accepting(n);
+/// Whether every state in `det` has at most one successor per symbol.
+bool deterministic_on(const Nba& n, const std::vector<bool>& det) {
   std::vector<State> succ;
   for (State q = 0; q < n.state_count(); ++q) {
     if (!det[q]) continue;
@@ -76,6 +58,10 @@ bool is_semi_deterministic(const Nba& n) {
   }
   return true;
 }
+
+}  // namespace
+
+bool is_semi_deterministic(const Nba& n) { return deterministic_on(n, deterministic_part(n)); }
 
 struct ComplementEngine::Part {
   Nba aut;
@@ -140,69 +126,30 @@ Nba build_part(const Nba& input, const std::vector<bool>& keep,
 ComplementEngine::ComplementEngine(const Nba& input, const ComplementOptions& options)
     : alphabet_(input.alphabet()), options_(options) {
   const std::size_t ns = input.state_count();
-  auto reach = detail::nba_reachable(input);
-  std::vector<Nba> raw_parts;
-  if (!options_.decompose) {
-    auto live = detail::nba_live(input);
+  const MarkedGraph g = to_graph(input);
+  const auto reach = graph_reachable(g);
+  const MarkedGraph rev = reversed(g);
+  for (const auto& scc : nontrivial_sccs(g, std::vector<bool>(ns, true))) {
+    if (std::none_of(scc.begin(), scc.end(), [&](State q) { return input.accepting(q); }))
+      continue;
+    // Keep states that are reachable from the initial states and can reach
+    // this SCC; accepting states are F ∩ SCC — runs accepting in this part
+    // are exactly the input runs whose infinity set meets F inside it.
+    const std::vector<bool> in_scc = state_mask(g, scc);
+    const std::vector<bool> canreach = forward_closure(rev, in_scc);
     std::vector<bool> keep(ns, false), accepting_mask(ns, false);
     bool any_initial = false;
     for (State q = 0; q < ns; ++q) {
-      keep[q] = reach[q] && live[q];
-      accepting_mask[q] = input.accepting(q);
+      keep[q] = reach[q] && canreach[q];
+      accepting_mask[q] = in_scc[q] && input.accepting(q);
     }
     for (State q : input.initial_states()) any_initial = any_initial || keep[q];
-    if (any_initial) raw_parts.push_back(build_part(input, keep, accepting_mask));
-  } else {
-    // Predecessor lists once, for the per-SCC backward reachability.
-    std::vector<std::vector<State>> preds(ns);
-    for (State q = 0; q < ns; ++q)
-      for (auto [s, t] : input.edges(q)) {
-        (void)s;
-        preds[t].push_back(q);
-      }
-    for (const auto& scc : detail::nba_sccs(input)) {
-      bool nontrivial = scc.size() > 1;
-      if (!nontrivial)
-        for (auto [s, t] : input.edges(scc[0])) {
-          (void)s;
-          if (t == scc[0]) nontrivial = true;
-        }
-      bool has_acc = std::any_of(scc.begin(), scc.end(),
-                                 [&](State q) { return input.accepting(q); });
-      if (!nontrivial || !has_acc) continue;
-      // Keep states that are reachable from the initial states and can reach
-      // this SCC; accepting states are F ∩ SCC — runs accepting in this part
-      // are exactly the input runs whose infinity set meets F inside it.
-      std::vector<bool> canreach(ns, false), in_scc(ns, false);
-      std::deque<State> queue;
-      for (State q : scc) {
-        canreach[q] = in_scc[q] = true;
-        queue.push_back(q);
-      }
-      while (!queue.empty()) {
-        State q = queue.front();
-        queue.pop_front();
-        for (State p : preds[q])
-          if (!canreach[p]) {
-            canreach[p] = true;
-            queue.push_back(p);
-          }
-      }
-      std::vector<bool> keep(ns, false), accepting_mask(ns, false);
-      bool any_initial = false;
-      for (State q = 0; q < ns; ++q) {
-        keep[q] = reach[q] && canreach[q];
-        accepting_mask[q] = in_scc[q] && input.accepting(q);
-      }
-      for (State q : input.initial_states()) any_initial = any_initial || keep[q];
-      if (any_initial) raw_parts.push_back(build_part(input, keep, accepting_mask));
-    }
-  }
+    if (!any_initial) continue;
 
-  for (Nba& raw : raw_parts) {
-    auto part = std::make_unique<Part>(std::move(raw));
+    auto part = std::make_unique<Part>(build_part(input, keep, accepting_mask));
     const Nba& a = part->aut;
-    const bool semi = is_semi_deterministic(a);
+    std::vector<bool> det = deterministic_part(a);
+    const bool semi = deterministic_on(a, det);
     switch (options_.algorithm) {
       case ComplementAlgorithm::Auto:
         part->ncsb = semi;
@@ -216,7 +163,7 @@ ComplementEngine::ComplementEngine(const Nba& input, const ComplementOptions& op
         break;
     }
     if (part->ncsb) {
-      part->det = reachable_from_accepting(a);
+      part->det = std::move(det);
     } else {
       std::size_t f = 0;
       for (State q = 0; q < a.state_count(); ++q)

@@ -34,9 +34,6 @@ enum class ComplementAlgorithm : std::uint8_t {
 struct ComplementOptions {
   Budget budget;
   ComplementAlgorithm algorithm = ComplementAlgorithm::Auto;
-  /// Decompose by accepting SCC before complementing. Disabling treats the
-  /// whole automaton as one part (useful for differential tests).
-  bool decompose = true;
 };
 
 struct ComplementStats {

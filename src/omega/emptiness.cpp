@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
 
 #include "src/omega/graph.hpp"
 #include "src/support/check.hpp"
@@ -101,36 +100,7 @@ bool is_empty(const DetOmega& m) {
 }
 
 std::vector<bool> live_states(const DetOmega& m) {
-  // Residual languages quantify over every start state, but good_loop_states
-  // only considers loops reachable from the initial state. Add a fresh
-  // virtual root with edges to all states so every loop becomes reachable.
-  MarkedGraph aug = to_graph(m);
-  const State root = static_cast<State>(aug.size());
-  aug.succ.emplace_back();
-  aug.marks.push_back(0);
-  for (State q = 0; q < m.state_count(); ++q) aug.succ[root].push_back(q);
-  aug.initial = root;
-  std::vector<bool> aug_good = good_loop_states(aug, m.acceptance());
-  std::vector<bool> good(m.state_count(), false);
-  for (State q = 0; q < m.state_count(); ++q) good[q] = aug_good[q];
-  // Live = can reach a good-loop state.
-  std::vector<std::vector<State>> preds(m.state_count());
-  for (State q = 0; q < m.state_count(); ++q)
-    for (Symbol s = 0; s < m.alphabet().size(); ++s) preds[m.next(q, s)].push_back(q);
-  std::vector<bool> live = good;
-  std::deque<State> queue;
-  for (State q = 0; q < m.state_count(); ++q)
-    if (live[q]) queue.push_back(q);
-  while (!queue.empty()) {
-    State q = queue.front();
-    queue.pop_front();
-    for (State p : preds[q])
-      if (!live[p]) {
-        live[p] = true;
-        queue.push_back(p);
-      }
-  }
-  return live;
+  return live_states(to_graph(m), m.acceptance());
 }
 
 lang::Dfa pref(const DetOmega& m) {

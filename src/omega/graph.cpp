@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <deque>
 
 #include "src/support/check.hpp"
 
@@ -12,7 +11,7 @@ MarkedGraph to_graph(const DetOmega& m) {
   MarkedGraph g;
   g.succ.resize(m.state_count());
   g.marks.resize(m.state_count());
-  g.initial = m.initial();
+  g.initial = {m.initial()};
   for (State q = 0; q < m.state_count(); ++q) {
     g.marks[q] = m.marks(q);
     auto& targets = g.succ[q];
@@ -24,22 +23,84 @@ MarkedGraph to_graph(const DetOmega& m) {
   return g;
 }
 
-std::vector<bool> graph_reachable(const MarkedGraph& g) {
-  if (g.size() == 0) return {};  // no states, nothing reachable
-  MPH_REQUIRE(g.initial < g.size(), "graph_reachable: initial state out of range");
-  std::vector<bool> seen(g.size(), false);
-  std::deque<State> queue{g.initial};
-  seen[g.initial] = true;
-  while (!queue.empty()) {
-    State q = queue.front();
-    queue.pop_front();
+MarkedGraph to_graph(const Nba& n) {
+  MarkedGraph g;
+  g.succ.resize(n.state_count());
+  g.marks.resize(n.state_count(), 0);
+  g.initial = n.initial_states();
+  // last_source[t] == q once t is listed among q's successors.
+  std::vector<State> last_source(n.state_count(), ~State{0});
+  for (State q = 0; q < n.state_count(); ++q) {
+    if (n.accepting(q)) g.marks[q] = mark_bit(0);
+    g.succ[q].reserve(n.edges(q).size());
+    for (auto [s, t] : n.edges(q)) {
+      (void)s;
+      if (last_source[t] == q) continue;
+      last_source[t] = q;
+      g.succ[q].push_back(t);
+    }
+  }
+  return g;
+}
+
+MarkedGraph induced_subgraph(const MarkedGraph& g, const std::vector<State>& states) {
+  constexpr State kOutside = ~State{0};
+  std::vector<State> local(g.size(), kOutside);
+  for (State j = 0; j < states.size(); ++j) local[states[j]] = j;
+  MarkedGraph sub;
+  sub.succ.resize(states.size());
+  sub.marks.resize(states.size());
+  for (State j = 0; j < states.size(); ++j) {
+    sub.marks[j] = g.marks[states[j]];
+    for (State t : g.succ[states[j]])
+      if (local[t] != kOutside) sub.succ[j].push_back(local[t]);
+  }
+  return sub;
+}
+
+MarkedGraph reversed(const MarkedGraph& g) {
+  MarkedGraph rev;
+  rev.succ.resize(g.size());
+  rev.marks = g.marks;
+  rev.initial = g.initial;
+  std::vector<std::size_t> in_degree(g.size(), 0);
+  for (const auto& targets : g.succ)
+    for (State t : targets) ++in_degree[t];
+  for (State q = 0; q < g.size(); ++q) rev.succ[q].reserve(in_degree[q]);
+  for (State q = 0; q < g.size(); ++q)
+    for (State t : g.succ[q]) rev.succ[t].push_back(q);
+  return rev;
+}
+
+std::vector<bool> state_mask(const MarkedGraph& g, const std::vector<State>& states) {
+  std::vector<bool> mask(g.size(), false);
+  for (State q : states) {
+    MPH_REQUIRE(q < g.size(), "state out of range");
+    mask[q] = true;
+  }
+  return mask;
+}
+
+std::vector<bool> forward_closure(const MarkedGraph& g, std::vector<bool> seeds) {
+  MPH_REQUIRE(seeds.size() == g.size(), "seed mask size mismatch");
+  std::vector<State> stack;
+  for (State q = 0; q < g.size(); ++q)
+    if (seeds[q]) stack.push_back(q);
+  while (!stack.empty()) {
+    const State q = stack.back();
+    stack.pop_back();
     for (State t : g.succ[q])
-      if (!seen[t]) {
-        seen[t] = true;
-        queue.push_back(t);
+      if (!seeds[t]) {
+        seeds[t] = true;
+        stack.push_back(t);
       }
   }
-  return seen;
+  return seeds;
+}
+
+std::vector<bool> graph_reachable(const MarkedGraph& g) {
+  if (g.size() == 0) return {};  // no states, nothing reachable
+  return forward_closure(g, state_mask(g, g.initial));
 }
 
 std::vector<std::vector<State>> nontrivial_sccs(const MarkedGraph& g,
@@ -58,9 +119,10 @@ std::vector<std::vector<State>> nontrivial_sccs(const MarkedGraph& g,
     State q;
     std::size_t child;
   };
+  std::vector<Frame> frames;
   for (State root = 0; root < n; ++root) {
     if (!allowed[root] || index[root] != kUnvisited) continue;
-    std::vector<Frame> frames{{root, 0}};
+    frames.push_back({root, 0});
     index[root] = low[root] = counter++;
     stack.push_back(root);
     on_stack[root] = true;
@@ -82,25 +144,18 @@ std::vector<std::vector<State>> nontrivial_sccs(const MarkedGraph& g,
         frames.pop_back();
         if (!frames.empty()) low[frames.back().q] = std::min(low[frames.back().q], low[q]);
         if (low[q] == index[q]) {
-          std::vector<State> scc;
-          for (;;) {
-            State w = stack.back();
-            stack.pop_back();
-            on_stack[w] = false;
-            scc.push_back(w);
-            if (w == q) break;
-          }
-          // Keep only components that can host a loop.
-          bool nontrivial = scc.size() > 1;
-          if (!nontrivial) {
-            State lone = scc[0];
-            nontrivial = std::find(g.succ[lone].begin(), g.succ[lone].end(), lone) !=
-                         g.succ[lone].end();
-          }
+          // q roots a component: the stack from q up. Keep it only if it
+          // can host a loop.
+          auto from = std::find(stack.rbegin(), stack.rend(), q).base() - 1;
+          const bool nontrivial =
+              stack.end() - from > 1 ||
+              std::find(g.succ[q].begin(), g.succ[q].end(), q) != g.succ[q].end();
+          for (auto it = from; it != stack.end(); ++it) on_stack[*it] = false;
           if (nontrivial) {
+            std::vector<State>& scc = out.emplace_back(from, stack.end());
             std::sort(scc.begin(), scc.end());
-            out.push_back(std::move(scc));
           }
+          stack.erase(from, stack.end());
         }
       }
     }
@@ -119,12 +174,6 @@ MarkSet marks_of(const MarkedGraph& g, const std::vector<State>& states) {
 Mark lowest_mark(MarkSet ms) {
   MPH_ASSERT(ms != 0);
   return static_cast<Mark>(std::countr_zero(ms));
-}
-
-std::vector<bool> mask_of(const MarkedGraph& g, const std::vector<State>& states) {
-  std::vector<bool> mask(g.size(), false);
-  for (State q : states) mask[q] = true;
-  return mask;
 }
 
 // Core recursion shared by find_good_loop and good_loop_states.
@@ -149,7 +198,7 @@ std::optional<std::vector<State>> search(const MarkedGraph& g, const std::vector
     const Mark m = lowest_mark(phi.fin_marks());
     // Branch 1: the loop avoids mark m entirely.
     {
-      std::vector<bool> sub = mask_of(g, scc);
+      std::vector<bool> sub = state_mask(g, scc);
       for (State q : scc)
         if (g.marks[q] & mark_bit(m)) sub[q] = false;
       auto r = search(g, sub, phi.substitute(m, /*inf=*/false, /*fin=*/true), collect);
@@ -159,7 +208,7 @@ std::optional<std::vector<State>> search(const MarkedGraph& g, const std::vector
     // only the Fin atom (Inf(m) untouched) keeps the formula a sound
     // strengthening, and the Fin-atom count strictly decreases.
     {
-      std::vector<bool> sub = mask_of(g, scc);
+      std::vector<bool> sub = state_mask(g, scc);
       auto r = search(g, sub, phi.substitute_fin(m, false), collect);
       if (r) return r;
     }
@@ -189,6 +238,11 @@ std::vector<bool> good_loop_states_within(const MarkedGraph& g, const std::vecto
   std::vector<bool> out(g.size(), false);
   search(g, allowed, acc, &out);
   return out;
+}
+
+std::vector<bool> live_states(const MarkedGraph& g, const Acceptance& acc) {
+  return forward_closure(reversed(g),
+                         good_loop_states_within(g, std::vector<bool>(g.size(), true), acc));
 }
 
 }  // namespace mph::omega

@@ -1,9 +1,11 @@
-// Graph-level machinery shared by every ω-automaton decision procedure:
-// SCC decomposition, and the search for "good loops" — loop sets J whose
-// infinitely-visited marks satisfy an acceptance formula. This is the
-// cycle/F-family analysis of the paper's §5.1 (after Landweber and Wagner),
-// generalized from Streett pairs to arbitrary Emerson–Lei conditions by
-// branching on Fin-marks (avoid the mark, or commit to visiting it).
+// The one graph kernel under every ω-automaton decision procedure: SCC
+// decomposition, forward and backward reachability, live states, and the
+// search for "good loops" — loop sets J whose infinitely-visited marks
+// satisfy an acceptance formula. This is the cycle/F-family analysis of the
+// paper's §5.1 (after Landweber and Wagner), generalized from Streett pairs
+// to arbitrary Emerson–Lei conditions by branching on Fin-marks (avoid the
+// mark, or commit to visiting it). DetOmega, Nba and the LTL tableau all
+// reach it through a MarkedGraph.
 #pragma once
 
 #include <optional>
@@ -11,6 +13,7 @@
 
 #include "src/omega/acceptance.hpp"
 #include "src/omega/det_omega.hpp"
+#include "src/omega/nba.hpp"
 
 namespace mph::omega {
 
@@ -18,19 +21,43 @@ namespace mph::omega {
 struct MarkedGraph {
   std::vector<std::vector<State>> succ;  // deduplicated
   std::vector<MarkSet> marks;
-  State initial = 0;
+  std::vector<State> initial{0};
 
   std::size_t size() const { return succ.size(); }
 };
 
+/// Successors sorted ascending.
 MarkedGraph to_graph(const DetOmega& m);
 
-/// States reachable from the graph's initial state.
+/// Accepting states carry mark 0, so Acceptance::buchi(0) is the NBA's
+/// condition. Successors keep their first-occurrence edge order
+/// (deduplicated, not sorted): SCCs then complete in the order a Tarjan
+/// over the raw edge lists finds them, which fixes the complement's part
+/// order.
+MarkedGraph to_graph(const Nba& n);
+
+/// The subgraph induced by `states`: its state i is states[i], its initial
+/// state is 0, and it keeps the edges between listed states.
+MarkedGraph induced_subgraph(const MarkedGraph& g, const std::vector<State>& states);
+
+/// The same states and marks with every edge reversed.
+MarkedGraph reversed(const MarkedGraph& g);
+
+/// Membership mask of `states` over the graph's states.
+std::vector<bool> state_mask(const MarkedGraph& g, const std::vector<State>& states);
+
+/// States reachable from some seed, the seeds included. A backward closure
+/// is the forward closure of reversed(g).
+std::vector<bool> forward_closure(const MarkedGraph& g, std::vector<bool> seeds);
+
+/// States reachable from the graph's initial states.
 std::vector<bool> graph_reachable(const MarkedGraph& g);
 
 /// Strongly connected components of the subgraph induced by `allowed`
-/// (Tarjan, iterative). Trivial one-state components without a self-loop are
-/// omitted: only components that can host a loop are returned.
+/// (Tarjan, iterative; roots tried in state order, successors in list
+/// order), each sorted, in completion order. Trivial one-state components
+/// without a self-loop are omitted: only components that can host a loop
+/// are returned.
 std::vector<std::vector<State>> nontrivial_sccs(const MarkedGraph& g,
                                                 const std::vector<bool>& allowed);
 
@@ -53,5 +80,10 @@ bool has_good_loop_within(const MarkedGraph& g, const std::vector<bool>& allowed
 /// reachability from the initial state).
 std::vector<bool> good_loop_states_within(const MarkedGraph& g, const std::vector<bool>& allowed,
                                           const Acceptance& acc);
+
+/// States from which some good loop is reachable — those with a non-empty
+/// residual language — whether or not they are reachable themselves: the
+/// backward closure of every state on a good loop.
+std::vector<bool> live_states(const MarkedGraph& g, const Acceptance& acc);
 
 }  // namespace mph::omega

@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "src/omega/nba_internal.hpp"
+#include "src/omega/graph.hpp"
 #include "src/support/check.hpp"
 #include "src/support/flat_hash.hpp"
 
@@ -27,8 +27,9 @@ InclusionResult included(const Nba& a, const Nba& b, const InclusionOptions& opt
   // Trim A to states that matter for an accepting A-run: the product's
   // acceptance already demands A-accepting states infinitely often, so
   // dead A-states only inflate the product.
-  auto reach = detail::nba_reachable(a);
-  auto live = detail::nba_live(a);
+  const MarkedGraph g = to_graph(a);
+  const auto reach = graph_reachable(g);
+  const auto live = live_states(g, Acceptance::buchi(0));
   std::vector<bool> keep(a.state_count());
   bool any_initial = false;
   for (State q = 0; q < a.state_count(); ++q) keep[q] = reach[q] && live[q];
@@ -42,7 +43,6 @@ InclusionResult included(const Nba& a, const Nba& b, const InclusionOptions& opt
   ComplementOptions copts;
   copts.budget = options.budget;
   copts.algorithm = options.algorithm;
-  copts.decompose = options.decompose;
   ComplementEngine eng(b, copts);
   const std::size_t k = eng.part_count();
   // Node ids are product states, interned in BFS order.

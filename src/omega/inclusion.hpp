@@ -21,7 +21,6 @@ std::string_view to_string(InclusionVerdict v);
 struct InclusionOptions {
   Budget budget;
   ComplementAlgorithm algorithm = ComplementAlgorithm::Auto;
-  bool decompose = true;
 };
 
 struct InclusionResult {

@@ -1,7 +1,5 @@
 #include "src/omega/nba.hpp"
 
-#include "src/omega/nba_internal.hpp"
-
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -9,6 +7,7 @@
 
 #include "src/lang/dfa_ops.hpp"
 #include "src/lang/nfa.hpp"
+#include "src/omega/graph.hpp"
 #include "src/support/check.hpp"
 
 namespace mph::omega {
@@ -179,135 +178,10 @@ bool Nba::accepts_text(std::string_view lasso_text) const {
   return accepts(parse_lasso(lasso_text, alphabet_));
 }
 
-namespace detail {
-
-std::vector<bool> nba_reachable(const Nba& n) {
-  std::vector<bool> seen(n.state_count(), false);
-  std::deque<State> queue;
-  for (State q : n.initial_states())
-    if (!seen[q]) {
-      seen[q] = true;
-      queue.push_back(q);
-    }
-  while (!queue.empty()) {
-    State q = queue.front();
-    queue.pop_front();
-    for (auto [s, t] : n.edges(q)) {
-      (void)s;
-      if (!seen[t]) {
-        seen[t] = true;
-        queue.push_back(t);
-      }
-    }
-  }
-  return seen;
-}
-
-/// Tarjan SCCs over the NBA graph (symbols ignored).
-std::vector<std::vector<State>> nba_sccs(const Nba& n) {
-  const std::size_t ns = n.state_count();
-  constexpr std::uint32_t kUnvisited = ~std::uint32_t{0};
-  std::vector<std::uint32_t> index(ns, kUnvisited), low(ns, 0);
-  std::vector<bool> on_stack(ns, false);
-  std::vector<State> stack;
-  std::uint32_t counter = 0;
-  std::vector<std::vector<State>> out;
-  struct Frame {
-    State q;
-    std::size_t child;
-  };
-  for (State root = 0; root < ns; ++root) {
-    if (index[root] != kUnvisited) continue;
-    std::vector<Frame> frames{{root, 0}};
-    index[root] = low[root] = counter++;
-    stack.push_back(root);
-    on_stack[root] = true;
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      if (f.child < n.edges(f.q).size()) {
-        State t = n.edges(f.q)[f.child++].second;
-        if (index[t] == kUnvisited) {
-          index[t] = low[t] = counter++;
-          stack.push_back(t);
-          on_stack[t] = true;
-          frames.push_back({t, 0});
-        } else if (on_stack[t]) {
-          low[f.q] = std::min(low[f.q], index[t]);
-        }
-      } else {
-        State q = f.q;
-        frames.pop_back();
-        if (!frames.empty()) low[frames.back().q] = std::min(low[frames.back().q], low[q]);
-        if (low[q] == index[q]) {
-          std::vector<State> scc;
-          for (;;) {
-            State w = stack.back();
-            stack.pop_back();
-            on_stack[w] = false;
-            scc.push_back(w);
-            if (w == q) break;
-          }
-          out.push_back(std::move(scc));
-        }
-      }
-    }
-  }
-  return out;
-}
-
-/// States lying in a nontrivial SCC that contains an accepting state
-/// ("accepting-cycle states").
-std::vector<bool> accepting_cycle_states(const Nba& n) {
-  std::vector<bool> out(n.state_count(), false);
-  for (const auto& scc : nba_sccs(n)) {
-    bool nontrivial = scc.size() > 1;
-    if (!nontrivial) {
-      State q = scc[0];
-      for (auto [s, t] : n.edges(q)) {
-        (void)s;
-        if (t == q) nontrivial = true;
-      }
-    }
-    if (!nontrivial) continue;
-    bool has_acc = std::any_of(scc.begin(), scc.end(), [&](State q) { return n.accepting(q); });
-    if (has_acc)
-      for (State q : scc) out[q] = true;
-  }
-  return out;
-}
-
-/// States from which some accepting cycle is reachable.
-std::vector<bool> nba_live(const Nba& n) {
-  auto good = detail::accepting_cycle_states(n);
-  std::vector<std::vector<State>> preds(n.state_count());
-  for (State q = 0; q < n.state_count(); ++q)
-    for (auto [s, t] : n.edges(q)) {
-      (void)s;
-      preds[t].push_back(q);
-    }
-  std::vector<bool> live = good;
-  std::deque<State> queue;
-  for (State q = 0; q < n.state_count(); ++q)
-    if (live[q]) queue.push_back(q);
-  while (!queue.empty()) {
-    State q = queue.front();
-    queue.pop_front();
-    for (State p : preds[q])
-      if (!live[p]) {
-        live[p] = true;
-        queue.push_back(p);
-      }
-  }
-  return live;
-}
-
-}  // namespace detail
-
 namespace {
 
 std::optional<lang::Word> nba_symbol_path(const Nba& n, const std::vector<State>& from,
-                                          const std::vector<bool>& targets,
-                                          const std::vector<bool>* within) {
+                                          const std::vector<bool>& targets) {
   struct Back {
     State prev;
     Symbol sym;
@@ -327,7 +201,6 @@ std::optional<lang::Word> nba_symbol_path(const Nba& n, const std::vector<State>
     queue.pop_front();
     for (auto [s, t] : n.edges(q)) {
       if (back[t].has_value()) continue;
-      if (within && !(*within)[t]) continue;
       back[t] = Back{q, s, false};
       if (targets[t]) {
         lang::Word w;
@@ -347,33 +220,28 @@ std::optional<lang::Word> nba_symbol_path(const Nba& n, const std::vector<State>
 }  // namespace
 
 bool is_empty(const Nba& n) {
-  auto reach = detail::nba_reachable(n);
-  auto good = detail::accepting_cycle_states(n);
-  for (State q = 0; q < n.state_count(); ++q)
-    if (reach[q] && good[q]) return false;
-  return true;
+  return !find_good_loop(to_graph(n), Acceptance::buchi(0)).has_value();
 }
 
 std::optional<Lasso> accepting_lasso(const Nba& n) {
-  auto reach = detail::nba_reachable(n);
-  // Find a reachable accepting state inside a nontrivial SCC.
-  auto cyc = detail::accepting_cycle_states(n);
+  // The lowest reachable accepting state inside a nontrivial SCC.
+  auto cyc = good_loop_states(to_graph(n), Acceptance::buchi(0));
   std::optional<State> anchor;
   for (State q = 0; q < n.state_count(); ++q)
-    if (reach[q] && cyc[q] && n.accepting(q)) {
+    if (cyc[q] && n.accepting(q)) {
       anchor = q;
       break;
     }
   if (!anchor) return std::nullopt;
   std::vector<bool> target(n.state_count(), false);
   target[*anchor] = true;
-  auto prefix = nba_symbol_path(n, n.initial_states(), target, nullptr);
+  auto prefix = nba_symbol_path(n, n.initial_states(), target);
   MPH_ASSERT(prefix.has_value());
   // Close a cycle anchor → anchor: try each outgoing edge, then BFS back.
   for (auto [s, t] : n.edges(*anchor)) {
     lang::Word loop{s};
     if (t != *anchor) {
-      auto tail = nba_symbol_path(n, {t}, target, nullptr);
+      auto tail = nba_symbol_path(n, {t}, target);
       if (!tail) continue;
       loop.insert(loop.end(), tail->begin(), tail->end());
     }
@@ -442,7 +310,7 @@ Nba intersect_with_cobuchi(const Nba& n, const DetOmega& d) {
 
 lang::Nfa pref_skeleton(const Nba& n) {
   MPH_REQUIRE(n.state_count() > 0, "pref_skeleton needs at least one state");
-  auto live = detail::nba_live(n);
+  auto live = live_states(to_graph(n), Acceptance::buchi(0));
   lang::Nfa skeleton(n.alphabet());
   for (State q = 1; q < n.state_count(); ++q) skeleton.add_state();
   for (State q = 0; q < n.state_count(); ++q) {

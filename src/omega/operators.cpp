@@ -5,6 +5,7 @@
 #include "src/lang/dfa_ops.hpp"
 #include "src/lang/finitary_ops.hpp"
 #include "src/omega/emptiness.hpp"
+#include "src/omega/graph.hpp"
 #include "src/support/check.hpp"
 
 namespace mph::omega {
@@ -67,22 +68,11 @@ DetOmega safety_closure(const DetOmega& m) { return op_a(pref(m)); }
 
 bool is_liveness(const DetOmega& m) {
   // Pref(Π) = Σ⁺ iff every reachable state has a non-empty residual.
-  auto live = live_states(m);
-  std::vector<bool> seen(m.state_count(), false);
-  std::vector<State> stack{m.initial()};
-  seen[m.initial()] = true;
-  while (!stack.empty()) {
-    State q = stack.back();
-    stack.pop_back();
-    if (!live[q]) return false;
-    for (Symbol s = 0; s < m.alphabet().size(); ++s) {
-      State t = m.next(q, s);
-      if (!seen[t]) {
-        seen[t] = true;
-        stack.push_back(t);
-      }
-    }
-  }
+  const MarkedGraph g = to_graph(m);
+  const auto reach = graph_reachable(g);
+  const auto live = live_states(g, m.acceptance());
+  for (State q = 0; q < m.state_count(); ++q)
+    if (reach[q] && !live[q]) return false;
   return true;
 }
 

@@ -459,15 +459,14 @@ Json Server::handle_check(const Json& request) {
   if (!specs_field || !specs_field->is_array() || specs_field->as_array().empty())
     throw std::invalid_argument("check needs a non-empty 'specs' array");
 
-  ResolvedModel model = resolve_model(*model_field);
+  // The verdict cache is keyed by the model's digest, which needs no built
+  // model: the system (and an inline model's static prover) is built below,
+  // only when some spec misses.
+  const bool named = model_field->is_string();
+  const std::uint64_t mdigest = named ? builtin_model_digest(model_field->as_string())
+                                      : model_digest(fts_spec_from_json(*model_field));
   const Budget budget = admit(request);
   fts::CheckOptions options = check_options(request, budget);
-  // Inline models carry their symbolic description: consult the interval
-  // static prover before exploring. Verdicts it certifies report (and cache)
-  // engine "static" with 0 product states. The hook does not enter the
-  // options digest — it is a pure function of the model, which already keys
-  // the verdict cache.
-  if (model.spec) options.static_prover = analysis::make_static_prover(*model.spec);
   const std::uint64_t odigest = options_digest(options);
   bool use_cache = config_.cache;
   if (const Json* no_cache = request.find("no_cache"))
@@ -505,7 +504,7 @@ Json Server::handle_check(const Json& request) {
       continue;
     }
     if (use_cache) {
-      p.cached = verdicts_.find({model.digest, p.digest, odigest});
+      p.cached = verdicts_.find({mdigest, p.digest, odigest});
       if (p.cached) {
         ++hits;
         positions.push_back(std::move(p));
@@ -518,7 +517,7 @@ Json Server::handle_check(const Json& request) {
         // by the same computation. Both directions are sound; Unknown
         // implications derive nothing.
         std::size_t scanned = 0;
-        for (const auto& [donor, entry] : verdicts_.entries_for(model.digest, odigest)) {
+        for (const auto& [donor, entry] : verdicts_.entries_for(mdigest, odigest)) {
           if (scanned++ >= config_.subsume_max_candidates) break;
           const bool transfers =
               entry->holds ? implied(donor, p.digest) == analysis::Implication::Implies
@@ -544,6 +543,17 @@ Json Server::handle_check(const Json& request) {
     positions.push_back(std::move(p));
   }
 
+  std::optional<ResolvedModel> model;
+  if (!miss_formulas.empty()) {
+    model = resolve_model(*model_field);
+    // Inline models carry their symbolic description: consult the interval
+    // static prover before exploring. Verdicts it certifies report (and
+    // cache) engine "static" with 0 product states. The hook does not enter
+    // the options digest — it is a pure function of the model, which already
+    // keys the verdict cache.
+    if (model->spec) options.static_prover = analysis::make_static_prover(*model->spec);
+  }
+
   // The deadline-between-legs gate (docs/SERVE.md, the PR 7 pattern): all
   // specs are parsed and admitted by now; if the deadline has already
   // passed, answer a structured budget-deadline Unknown for every
@@ -565,7 +575,7 @@ Json Server::handle_check(const Json& request) {
     }
   } else if (!miss_formulas.empty()) {
     options.diagnostics = &diagnostics;
-    computed = fts::check_all(model.system, miss_formulas, model.atoms, options);
+    computed = fts::check_all(model->system, miss_formulas, model->atoms, options);
   }
 
   // One VerdictEntry per computed result: it renders the miss and dedup
@@ -630,14 +640,14 @@ Json Server::handle_check(const Json& request) {
       ++budget_exhaustions_;
       continue;
     }
-    if (use_cache) verdicts_.put({model.digest, p.digest, odigest}, entry);
+    if (use_cache) verdicts_.put({mdigest, p.digest, odigest}, entry);
   }
 
   return JsonWriter()
       .field("ok", true)
       .field("op", "check")
-      .field("model", model.label)
-      .field("model_digest", digest_hex(model.digest))
+      .field("model", named ? model_field->as_string() : "(inline)")
+      .field("model_digest", digest_hex(mdigest))
       .field("options_digest", digest_hex(odigest))
       .field("results", Json::array(std::move(results)))
       .field("cache", JsonWriter()

@@ -41,9 +41,9 @@
 #include "src/lang/nfa.hpp"
 #include "src/ltl/ast.hpp"
 #include "src/ltl/to_nba.hpp"
+#include "src/omega/graph.hpp"
 #include "src/omega/inclusion.hpp"
 #include "src/omega/nba.hpp"
-#include "src/omega/nba_internal.hpp"
 #include "src/support/rng.hpp"
 
 namespace mph {
@@ -302,8 +302,9 @@ TEST(KernelPinning, BatteryMatchesGoldenRows) {
 /// Whether every state of `n` is reachable and reaches an accepting cycle,
 /// by the omega library's own graph helpers; names the first bad state.
 std::string trim_violation(const omega::Nba& n) {
-  const std::vector<bool> reach = omega::detail::nba_reachable(n);
-  const std::vector<bool> live = omega::detail::nba_live(n);
+  const omega::MarkedGraph g = omega::to_graph(n);
+  const std::vector<bool> reach = omega::graph_reachable(g);
+  const std::vector<bool> live = omega::live_states(g, omega::Acceptance::buchi(0));
   for (omega::State q = 0; q < n.state_count(); ++q) {
     if (!reach[q]) return "state " + std::to_string(q) + " is unreachable";
     if (!live[q]) return "state " + std::to_string(q) + " reaches no accepting cycle";
