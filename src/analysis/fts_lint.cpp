@@ -7,6 +7,10 @@ namespace mph::analysis {
 
 namespace {
 
+/// Reachable states probed per variable by the MPH-F004 read-dependence
+/// analysis; keeps lint linear on big graphs.
+constexpr std::size_t kMaxProbeStates = 256;
+
 std::string valuation_text(const fts::Fts& sys, const fts::Valuation& v) {
   std::ostringstream out;
   for (std::size_t i = 0; i < v.size(); ++i)
@@ -18,11 +22,10 @@ std::string valuation_text(const fts::Fts& sys, const fts::Valuation& v) {
 /// flipping v to alternative domain values in reachable states. Exceptions
 /// from counterfactual valuations (e.g. an effect driven out of domain)
 /// count as a dependence — conservative, so MPH-F004 never fires wrongly.
-bool variable_read(const fts::Fts& sys, const fts::StateGraph& sg, std::size_t v,
-                   std::size_t max_probe_states) {
+bool variable_read(const fts::Fts& sys, const fts::StateGraph& sg, std::size_t v) {
   const int lo = sys.var_lo(v), hi = sys.var_hi(v);
   if (lo == hi) return false;  // single-valued: nothing can depend on it
-  const std::size_t n_probe = std::min(sg.size(), max_probe_states);
+  const std::size_t n_probe = std::min(sg.size(), kMaxProbeStates);
   for (std::size_t n = 0; n < n_probe; ++n) {
     const fts::Valuation s = sg.valuation(n);
     for (int d = lo; d <= hi; ++d) {
@@ -135,7 +138,7 @@ void lint_fts(const fts::Fts& sys, std::string_view subject, DiagnosticEngine& o
 
   // Unread variables (semantic probe).
   for (std::size_t v = 0; v < sys.var_count(); ++v) {
-    if (!variable_read(sys, sg, v, options.max_probe_states)) {
+    if (!variable_read(sys, sg, v)) {
       auto& d = out.emit("MPH-F004", subject,
                          "no guard or effect depends on variable '" + sys.var_name(v) +
                              "' (write-only state)");

@@ -29,9 +29,6 @@ namespace mph::analysis {
 
 struct FtsLintOptions {
   std::size_t max_states = 200000;
-  /// Cap on (state, alternative-value) probes per variable for the MPH-F004
-  /// read-dependence analysis; keeps lint linear on big graphs.
-  std::size_t max_probe_states = 256;
 };
 
 void lint_fts(const fts::Fts& system, std::string_view subject, DiagnosticEngine& out,

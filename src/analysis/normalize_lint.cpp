@@ -1,14 +1,15 @@
 #include "src/analysis/normalize_lint.hpp"
 
-#include <algorithm>
-
-#include "src/ltl/hierarchy.hpp"
 #include "src/ltl/syntactic.hpp"
 
 namespace mph::analysis {
 namespace {
 
 using core::Classification;
+
+/// Normal forms larger than this many nodes are still exact but earn the
+/// MPH-N003 size advisory alongside MPH-N001.
+constexpr std::size_t kBlowupNodes = 256;
 
 std::string subject_of(std::size_t i, const std::string& text) {
   std::string shown = text.size() <= 60 ? text : text.substr(0, 57) + "…";
@@ -41,10 +42,10 @@ NormalizeLintResult lint_normalize(const std::vector<ltl::Formula>& requirements
     item.outcome = nr.outcome;
     item.steps = nr.steps;
 
-    // The public entry point re-runs the rewrite and, on refusal, falls back
-    // to the Safra-free NBA closure tests — both exact paths flow through it
-    // so alphabet handling (atom union, max_atoms refusal) applies uniformly.
-    std::optional<ltl::ExactClass> exact = ltl::exact_classification(f, options.normalize);
+    // On refusal exact_classification falls back to the Safra-free NBA
+    // closure tests — both exact paths flow through it so alphabet handling
+    // (atom union, max_atoms refusal) applies uniformly.
+    std::optional<ltl::ExactClass> exact = ltl::exact_classification(f, nr, options.normalize);
     const bool via_nba = exact && exact->source == ltl::ExactClass::Source::NbaSemantics;
 
     if (!is_complete(nr.outcome)) {
@@ -94,10 +95,10 @@ NormalizeLintResult lint_normalize(const std::vector<ltl::Formula>& requirements
               " — the checker would route this through a needlessly general engine");
       if (item.normal_form) d.fix_hint = "rewrite as: " + *item.normal_form;
     }
-    if (!via_nba && exact->normal_form.size() > options.blowup_nodes) {
+    if (!via_nba && exact->normal_form.size() > kBlowupNodes) {
       auto& d = out.emit("MPH-N003", subject_of(i, item.text),
                          "normal form has " + std::to_string(exact->normal_form.size()) +
-                             " nodes (ceiling " + std::to_string(options.blowup_nodes) +
+                             " nodes (ceiling " + std::to_string(kBlowupNodes) +
                              " for a quiet rewrite); exact class still reported");
       d.fix_hint = "large normal forms compile to large automata; consider splitting "
                    "the requirement";

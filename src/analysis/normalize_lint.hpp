@@ -33,9 +33,6 @@ namespace mph::analysis {
 struct NormalizeLintOptions {
   /// Budget / ceilings for the rewrite itself (see ltl::NormalizeOptions).
   ltl::NormalizeOptions normalize;
-  /// Normal forms larger than this many nodes are still exact but earn the
-  /// MPH-N003 size advisory alongside MPH-N001.
-  std::size_t blowup_nodes = 256;
 };
 
 struct NormalizeLintResult {

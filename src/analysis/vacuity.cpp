@@ -27,6 +27,9 @@ std::string_view to_string(RequirementVacuity::Verdict v) {
 
 namespace {
 
+/// Mutants beyond this per-requirement cap are counted as skipped.
+constexpr std::size_t kMaxMutantsPerRequirement = 256;
+
 /// Pointwise evaluation of a state formula on one state-graph node.
 bool eval_state(const Formula& f, const fts::Fts& system, const fts::AtomMap& atoms,
                 const fts::Valuation& v, int last_taken) {
@@ -192,19 +195,17 @@ VacuityResult analyze_vacuity(const fts::Fts& system, const std::vector<ltl::For
 
     // Fast path: a □(p→q) whose antecedent no reachable state satisfies is
     // vacuously true — equivalent to □(false→q) — with no mutation at all.
-    if (options.antecedent_fast_path) {
-      if (auto exercised = antecedent_exercised(system, specs[i], atoms, budget);
-          exercised && exercised->complete() && !*exercised->value) {
-        rv.verdict = RequirementVacuity::Verdict::Vacuous;
-        rv.antecedent_failure = true;
-        auto& d = out.emit("MPH-Y002", subject,
-                           "the antecedent '" + antecedent_of(specs[i])->to_string() +
-                               "' holds in no reachable state: the requirement is "
-                               "satisfied vacuously (it constrains nothing the model "
-                               "ever does)");
-        d.fix_hint = "make the model reach the antecedent or drop the requirement";
-        continue;
-      }
+    if (auto exercised = antecedent_exercised(system, specs[i], atoms, budget);
+        exercised && exercised->complete() && !*exercised->value) {
+      rv.verdict = RequirementVacuity::Verdict::Vacuous;
+      rv.antecedent_failure = true;
+      auto& d = out.emit("MPH-Y002", subject,
+                         "the antecedent '" + antecedent_of(specs[i])->to_string() +
+                             "' holds in no reachable state: the requirement is "
+                             "satisfied vacuously (it constrains nothing the model "
+                             "ever does)");
+      d.fix_hint = "make the model reach the antecedent or drop the requirement";
+      continue;
     }
 
     // Polarity-directed strengthening mutants, deduplicated per requirement.
@@ -223,7 +224,7 @@ VacuityResult analyze_vacuity(const fts::Fts& system, const std::vector<ltl::For
         mc.polarity = occ.polarity;
         mc.replacement = occ.polarity == ltl::Polarity::Positive ? "false" : "true";
         mc.text = mutant.to_string();
-        if (rv.mutants.size() >= options.max_mutants_per_requirement) {
+        if (rv.mutants.size() >= kMaxMutantsPerRequirement) {
           ++result.stats.mutants_skipped;
           rv.mutants.push_back(std::move(mc));
           continue;

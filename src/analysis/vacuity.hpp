@@ -42,10 +42,6 @@ struct VacuityOptions {
   /// every mutant through the full ω-product instead, and the tab13 bench
   /// measures the difference.
   fts::CheckOptions check;
-  /// The □(p→q) reachable-antecedent shortcut (MPH-Y002).
-  bool antecedent_fast_path = true;
-  /// Mutants beyond this per-requirement cap are counted as skipped.
-  std::size_t max_mutants_per_requirement = 256;
   /// Used by run_passes: whether the registered `vacuity` pass runs.
   bool enabled = true;
 };

@@ -977,12 +977,16 @@ std::optional<ExactClass> nba_classification(const Formula& f, const Formula& pa
 
 std::optional<ExactClass> exact_classification(const Formula& f,
                                                const NormalizeOptions& options) {
-  NormalizeResult r = normalize(f, options);
+  return exact_classification(f, normalize(f, options), options);
+}
+
+std::optional<ExactClass> exact_classification(const Formula& f, const NormalizeResult& r,
+                                               const NormalizeOptions& options) {
   // Both refusal shapes — rewrite exhaustion (!complete) and a complete
   // search that found no hierarchy form (!normal) — fall through to the
   // Safra-free NBA path, which has its own budget governance (a spent
   // deadline makes classify_nba bail on its first poll).
-  if (!r.complete() || !r.normal) return nba_classification(f, r.form, options);
+  if (!r.complete()) return nba_classification(f, r.form, options);
   std::vector<std::string> names = f.atoms();
   for (const std::string& a : r.form.atoms())
     if (std::find(names.begin(), names.end(), a) == names.end()) names.push_back(a);
@@ -992,7 +996,8 @@ std::optional<ExactClass> exact_classification(const Formula& f,
   std::optional<omega::DetOmega> m = compile_hierarchy_form(r.form, alphabet);
   if (!m) return std::nullopt;
   try {
-    return ExactClass{core::classify(*m), r.form};
+    return ExactClass{core::classify(*m), r.form, ExactClass::Source::NormalForm,
+                      m->state_count()};
   } catch (const std::invalid_argument&) {
     // Landweber's recurrence test expands the (negated) acceptance into
     // DNF, and Acceptance::dnf refuses past its clause cap: a normal form

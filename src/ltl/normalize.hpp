@@ -91,6 +91,9 @@ struct ExactClass {
   core::Classification value;  ///< the semantic membership vector
   Formula normal_form;         ///< the rewrite the evidence started from
   Source source = Source::NormalForm;
+  /// States of the deterministic automaton the normal form compiled to;
+  /// 0 for NbaSemantics, which compiles nothing deterministic.
+  std::size_t automaton_states = 0;
 };
 
 /// The exact hierarchy class of `f`: normalize, compile the normal form
@@ -103,7 +106,14 @@ struct ExactClass {
 /// formula spans more than 2^max_atoms alphabet symbols, or the normal
 /// form's acceptance is too large for the recurrence test's DNF expansion
 /// (Acceptance::dnf's clause cap) — never a misreported class.
+/// Same as exact_classification(f, normalize(f, options), options).
 std::optional<ExactClass> exact_classification(const Formula& f,
                                                const NormalizeOptions& options = {});
+
+/// The exact class of `f` from a rewrite the caller already ran:
+/// `normalized` must be normalize(f, options). Never normalizes again.
+std::optional<ExactClass> exact_classification(const Formula& f,
+                                               const NormalizeResult& normalized,
+                                               const NormalizeOptions& options);
 
 }  // namespace mph::ltl

@@ -179,12 +179,11 @@ CheckOutcome check_serve_replay(const FuzzCase& c, const Budget& budget) {
         classified.find("outcome")->as_string() == "complete";
     if (!daemon_complete || !is_complete(nr.outcome))
       return CheckOutcome::exhausted("classify budget exhausted");
-    const auto exact = ltl::exact_classification(specs[0], nopts);
-    // exact_classification re-runs normalization internally; if the shared
-    // deadline expired anywhere between the daemon's classify and this
-    // point, either side's "refusal" may be the budget biting rather than a
-    // deterministic answer. Deadlines are monotonic, so one poll here
-    // covers both directions of the race.
+    const auto exact = ltl::exact_classification(specs[0], nr, nopts);
+    // If the shared deadline expired anywhere between the daemon's classify
+    // and this point, either side's "refusal" may be the budget biting
+    // rather than a deterministic answer. Deadlines are monotonic, so one
+    // poll here covers both directions of the race.
     if (!is_complete(nopts.budget.poll()))
       return CheckOutcome::exhausted("classify budget expired mid-comparison");
     const Json* daemon_exact = classified.find("exact");

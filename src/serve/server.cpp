@@ -10,7 +10,6 @@
 #include "src/analysis/absint.hpp"
 #include "src/analysis/vacuity.hpp"
 #include "src/fts/programs.hpp"
-#include "src/ltl/hierarchy.hpp"
 #include "src/ltl/normalize.hpp"
 
 namespace mph::serve {
@@ -18,6 +17,12 @@ namespace mph::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Cached donor entries a check miss scans for a subsume transfer.
+constexpr std::size_t kSubsumeMaxCandidates = 32;
+/// Latency samples kept per endpoint (a ring of the newest) for the
+/// percentile estimates.
+constexpr std::size_t kMaxLatencySamples = 65536;
 
 int as_int(const Json& j, const char* what) {
   if (!j.is_number()) throw std::invalid_argument(std::string(what) + " must be a number");
@@ -55,6 +60,13 @@ Json diagnostics_json(const analysis::DiagnosticEngine& engine) {
     items.push_back(std::move(w).build());
   }
   return Json::array(std::move(items));
+}
+
+/// An inline model built from its parsed spec; `digest` is model_digest(spec).
+ResolvedModel resolve_inline(fuzz::FtsSpec spec, std::uint64_t digest) {
+  // A braced list evaluates left to right: build() and atoms() read `spec`
+  // before it moves into the last member.
+  return ResolvedModel{spec.build(), spec.atoms(), digest, "(inline)", std::move(spec)};
 }
 
 }  // namespace
@@ -216,9 +228,8 @@ ResolvedModel resolve_model(const Json& model) {
     throw std::invalid_argument("unknown model '" + name + "'");
   }
   fuzz::FtsSpec spec = fts_spec_from_json(model);
-  ResolvedModel resolved{spec.build(), spec.atoms(), model_digest(spec), "(inline)"};
-  resolved.spec = std::move(spec);
-  return resolved;
+  const std::uint64_t digest = model_digest(spec);
+  return resolve_inline(std::move(spec), digest);
 }
 
 Server::Server(ServerConfig config) : config_(std::move(config)) {}
@@ -318,7 +329,7 @@ Json Server::handle(const Json& request) {
   ++requests_;
   metrics.record(
       std::chrono::duration<double, std::micro>(Clock::now() - started).count(),
-      config_.max_latency_samples);
+      kMaxLatencySamples);
   return response;
 }
 
@@ -400,29 +411,15 @@ Json Server::handle_classify(const Json& request) {
     art.normalize_outcome = std::string(to_string(nr.outcome));
     art.normalize_steps = nr.steps;
     if (nr.complete()) art.normal_form = nr.form.to_string();
-    // exact_classification re-runs the rewrite and, on refusal, falls back
-    // to the NBA closure tests (docs/COMPLEMENT.md) — so even a
-    // budget-stopped normalization may still yield an exact class.
-    if (auto exact = ltl::exact_classification(art.formula, nopts)) {
+    // On refusal exact_classification falls back to the NBA closure tests
+    // (docs/COMPLEMENT.md) — so even a budget-stopped normalization may
+    // still yield an exact class.
+    if (auto exact = ltl::exact_classification(art.formula, nr, nopts)) {
       art.exact_class = core::to_string(exact->value.lowest());
       art.exact_source = exact->source == ltl::ExactClass::Source::NbaSemantics
                              ? "nba"
                              : "normal-form";
-      if (exact->source == ltl::ExactClass::Source::NormalForm) {
-        // The normal-form automaton is the cached compile artifact: its
-        // size is what repeated classify requests stop re-paying. The NBA
-        // path compiles nothing deterministic, so it reports no size.
-        std::vector<std::string> names = art.atoms;
-        for (const auto& a : exact->normal_form.atoms())
-          if (std::find(names.begin(), names.end(), a) == names.end())
-            names.push_back(a);
-        if (names.empty()) names.push_back("p");
-        if (names.size() <= nopts.max_atoms) {
-          lang::Alphabet alphabet = lang::Alphabet::of_props(names);
-          if (auto m = ltl::compile_hierarchy_form(exact->normal_form, alphabet))
-            art.automaton_states = m->state_count();
-        }
-      }
+      art.automaton_states = exact->automaton_states;
     }
     // An established class is deterministic content, and so is a genuine
     // refusal with the whole budget still live (atom blow-up, both exact
@@ -461,16 +458,15 @@ Json Server::handle_check(const Json& request) {
 
   // The verdict cache is keyed by the model's digest, which needs no built
   // model: the system (and an inline model's static prover) is built below,
-  // only when some spec misses.
+  // only when some spec misses — an inline one from the spec parsed here.
   const bool named = model_field->is_string();
+  std::optional<fuzz::FtsSpec> inline_spec;
+  if (!named) inline_spec = fts_spec_from_json(*model_field);
   const std::uint64_t mdigest = named ? builtin_model_digest(model_field->as_string())
-                                      : model_digest(fts_spec_from_json(*model_field));
+                                      : model_digest(*inline_spec);
   const Budget budget = admit(request);
   fts::CheckOptions options = check_options(request, budget);
   const std::uint64_t odigest = options_digest(options);
-  bool use_cache = config_.cache;
-  if (const Json* no_cache = request.find("no_cache"))
-    use_cache = use_cache && !no_cache->as_bool();
 
   const auto& spec_values = specs_field->as_array();
   struct Position {
@@ -503,36 +499,34 @@ Json Server::handle_check(const Json& request) {
       positions.push_back(std::move(p));
       continue;
     }
-    if (use_cache) {
-      p.cached = verdicts_.find({mdigest, p.digest, odigest});
-      if (p.cached) {
-        ++hits;
+    p.cached = verdicts_.find({mdigest, p.digest, odigest});
+    if (p.cached) {
+      ++hits;
+      positions.push_back(std::move(p));
+      continue;
+    }
+    if (config_.subsume_sharing) {
+      // Cross-spec sharing: a cached donor ψ that holds and implies this
+      // spec φ proves φ holds; a violated donor ψ with φ ⇒ ψ has a
+      // counterexample computation outside L(ψ) ⊇ L(φ), so φ is violated
+      // by the same computation. Both directions are sound; Unknown
+      // implications derive nothing.
+      std::size_t scanned = 0;
+      for (const auto& [donor, entry] : verdicts_.entries_for(mdigest, odigest)) {
+        if (scanned++ >= kSubsumeMaxCandidates) break;
+        const bool transfers =
+            entry->holds ? implied(donor, p.digest) == analysis::Implication::Implies
+                         : implied(p.digest, donor) == analysis::Implication::Implies;
+        if (!transfers) continue;
+        p.derived = *entry;
+        p.via = donor;
+        break;
+      }
+      if (p.derived) {
+        ++subsumed;
+        ++subsume_hits_;
         positions.push_back(std::move(p));
         continue;
-      }
-      if (config_.subsume_sharing) {
-        // Cross-spec sharing: a cached donor ψ that holds and implies this
-        // spec φ proves φ holds; a violated donor ψ with φ ⇒ ψ has a
-        // counterexample computation outside L(ψ) ⊇ L(φ), so φ is violated
-        // by the same computation. Both directions are sound; Unknown
-        // implications derive nothing.
-        std::size_t scanned = 0;
-        for (const auto& [donor, entry] : verdicts_.entries_for(mdigest, odigest)) {
-          if (scanned++ >= config_.subsume_max_candidates) break;
-          const bool transfers =
-              entry->holds ? implied(donor, p.digest) == analysis::Implication::Implies
-                           : implied(p.digest, donor) == analysis::Implication::Implies;
-          if (!transfers) continue;
-          p.derived = *entry;
-          p.via = donor;
-          break;
-        }
-        if (p.derived) {
-          ++subsumed;
-          ++subsume_hits_;
-          positions.push_back(std::move(p));
-          continue;
-        }
       }
     }
     ++misses;
@@ -545,7 +539,8 @@ Json Server::handle_check(const Json& request) {
 
   std::optional<ResolvedModel> model;
   if (!miss_formulas.empty()) {
-    model = resolve_model(*model_field);
+    model = named ? resolve_model(*model_field)
+                  : resolve_inline(std::move(*inline_spec), mdigest);
     // Inline models carry their symbolic description: consult the interval
     // static prover before exploring. Verdicts it certifies report (and
     // cache) engine "static" with 0 product states. The hook does not enter
@@ -640,7 +635,7 @@ Json Server::handle_check(const Json& request) {
       ++budget_exhaustions_;
       continue;
     }
-    if (use_cache) verdicts_.put({mdigest, p.digest, odigest}, entry);
+    verdicts_.put({mdigest, p.digest, odigest}, entry);
   }
 
   return JsonWriter()

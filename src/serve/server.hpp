@@ -47,8 +47,6 @@ struct ServerConfig {
   /// This is how an embedding — the serve-replay oracle, a test — threads
   /// its own iteration budget through the daemon.
   Budget base_budget;
-  /// Master switch for the verdict cache (formula interning always runs).
-  bool cache = true;
   /// Cross-spec verdict sharing (docs/SERVE.md): a check miss may derive its
   /// verdict from another spec's cached verdict on the same model via Büchi
   /// language inclusion (analysis::implies) — a holding donor that implies
@@ -59,11 +57,6 @@ struct ServerConfig {
   /// State cap for each implication check. Server-side and states-only, so
   /// the memoized three-valued answers are deterministic.
   std::size_t subsume_states = 20000;
-  /// Cached donor entries scanned per miss before giving up.
-  std::size_t subsume_max_candidates = 32;
-  /// Latency samples kept per endpoint for the percentile estimates (a ring
-  /// of the newest samples).
-  std::size_t max_latency_samples = 65536;
 };
 
 /// Per-endpoint observability counters.

@@ -4,6 +4,9 @@
 // the exact class, and budget-governed refusal.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "src/core/classify.hpp"
 #include "src/fuzz/generators.hpp"
 #include "src/ltl/eval.hpp"
@@ -200,6 +203,59 @@ TEST(NormalizeBudget, OversizedAcceptanceDnfIsRefusedNotThrown) {
   std::optional<ltl::ExactClass> exact;
   EXPECT_NO_THROW(exact = ltl::exact_classification(f));
   EXPECT_FALSE(exact.has_value());
+}
+
+// ---------------------------------------------------------------------------
+// exact_classification from a rewrite the caller already ran.
+
+TEST(ExactClassification, GivenRewriteMatchesSelfNormalizing) {
+  // One case per path: a compiled normal form, the NBA closure tests
+  // (serve's ClassifyReportsNbaExactSource formula), a refusal and a
+  // budget-stopped rewrite (state cap 3; 0 = the default budget).
+  const std::pair<const char*, std::size_t> cases[] = {
+      {"F(p & G q)", 0},
+      {"G F p -> G F q", 0},
+      {"F (p & X (p U q))", 0},
+      {"G F(q W (false W p))", 0},
+      {"F(p & (q U p)) & G F(p R q)", 3},
+  };
+  std::size_t normal_forms = 0, nba = 0, refused = 0, stopped = 0;
+  for (const auto& [text, cap] : cases) {
+    SCOPED_TRACE(text);
+    const ltl::Formula f = ltl::parse_formula(text);
+    ltl::NormalizeOptions opt;
+    if (cap) opt.budget = Budget().with_state_cap(cap);
+    const ltl::NormalizeResult nr = ltl::normalize(f, opt);
+    if (!is_complete(nr.outcome)) ++stopped;
+    const auto given = ltl::exact_classification(f, nr, opt);
+    const auto own = ltl::exact_classification(f, opt);
+    ASSERT_EQ(given.has_value(), own.has_value());
+    if (!given) {
+      ++refused;
+      continue;
+    }
+    EXPECT_EQ(given->value.describe(), own->value.describe());
+    EXPECT_TRUE(given->normal_form == own->normal_form);
+    EXPECT_EQ(given->source, own->source);
+    EXPECT_EQ(given->automaton_states, own->automaton_states);
+    if (given->source == ltl::ExactClass::Source::NbaSemantics) {
+      ++nba;
+      EXPECT_EQ(given->automaton_states, 0u);
+      continue;
+    }
+    ++normal_forms;
+    std::vector<std::string> names = f.atoms();
+    for (const auto& a : given->normal_form.atoms())
+      if (std::find(names.begin(), names.end(), a) == names.end()) names.push_back(a);
+    const auto m = ltl::compile_hierarchy_form(given->normal_form,
+                                               lang::Alphabet::of_props(names));
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(given->automaton_states, m->state_count());
+  }
+  EXPECT_GE(normal_forms, 1u);
+  EXPECT_GE(nba, 1u);
+  EXPECT_GE(refused, 1u);
+  EXPECT_GE(stopped, 1u);
 }
 
 TEST(NormalizeBasics, PastFormulasAreAlreadyKernels) {

@@ -5,8 +5,11 @@
 
 #include <chrono>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/core/classify.hpp"
+#include "src/ltl/normalize.hpp"
 #include "src/serve/cache.hpp"
 #include "src/serve/json.hpp"
 #include "src/serve/replay_oracle.hpp"
@@ -237,6 +240,47 @@ TEST(ServeServer, ClassifyReportsNbaExactSource) {
       R"js({"op":"classify","formula":"F (p & X (p U q))"})js"));
   EXPECT_EQ(field(warm, "cache"), "hit") << "an NBA-established class is memoized";
   EXPECT_EQ(field(warm, "exact_source"), "nba");
+}
+
+TEST(ServeServer, ClassifyMatchesDirectExactClassification) {
+  // One case per path: a compiled normal form, the NBA closure tests, a
+  // refusal and a budget-stopped rewrite (normalize_steps 3; 0 = none).
+  const std::pair<const char*, std::size_t> cases[] = {
+      {"F(p & G q)", 0},
+      {"G F p -> G F q", 0},
+      {"F (p & X (p U q))", 0},
+      {"G F(q W (false W p))", 0},
+      {"F(p & (q U p)) & G F(p R q)", 3},
+  };
+  Server server;
+  for (const auto& [text, steps] : cases) {
+    SCOPED_TRACE(text);
+    std::string line = std::string(R"js({"op":"classify","formula":")js") + text + '"';
+    if (steps) line += ",\"normalize_steps\":" + std::to_string(steps);
+    const Json response = req(server.handle_line(line + "}"));
+    ASSERT_TRUE(response.find("ok")->as_bool()) << response.dump();
+
+    const ltl::Formula f = ltl::parse_formula(text);
+    ltl::NormalizeOptions nopts;
+    nopts.budget.with_state_cap(steps ? steps : ServerConfig{}.max_budget_states);
+    const ltl::NormalizeResult nr = ltl::normalize(f, nopts);
+    const auto exact = ltl::exact_classification(f, nr, nopts);
+
+    if (exact) {
+      EXPECT_EQ(field(response, "exact"), core::to_string(exact->value.lowest()));
+      EXPECT_EQ(field(response, "exact_source"),
+                exact->source == ltl::ExactClass::Source::NbaSemantics ? "nba"
+                                                                       : "normal-form");
+    } else {
+      EXPECT_TRUE(response.find("exact")->is_null());
+      EXPECT_EQ(response.find("exact_source"), nullptr);
+    }
+    EXPECT_EQ(field(response, "normal_form"), nr.complete() ? nr.form.to_string() : "");
+    EXPECT_EQ(field(response, "outcome"), to_string(nr.outcome));
+    EXPECT_EQ(response.find("steps")->as_u64(), nr.steps);
+    EXPECT_EQ(response.find("automaton_states")->as_u64(),
+              exact ? exact->automaton_states : 0u);
+  }
 }
 
 TEST(ServeServer, ClassifyWithoutExactClassIsStillOk) {

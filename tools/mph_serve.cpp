@@ -5,7 +5,6 @@
 //   mph-serve --max-budget-states 50000     ceiling on any request's state cap
 //   mph-serve --max-budget-ms 2000          ceiling on any request's wall-clock budget
 //   mph-serve --max-threads 4               ceiling on requested worker threads
-//   mph-serve --no-cache                    disable the verdict cache (debugging)
 //
 // Protocol: one JSON request per line, one JSON response per line. Ops:
 // parse, classify, check, vacuity, invalidate, stats (see docs/SERVE.md).
@@ -53,7 +52,6 @@ int usage(std::ostream& out, int code) {
          "  --max-budget-ms N     ceiling on any request's wall-clock budget in ms\n"
          "                        (default 0 = requests may run undeadlined)\n"
          "  --max-threads N       ceiling on requested threads (default 8)\n"
-         "  --no-cache            disable the verdict cache\n"
          "  --no-subsume          disable cross-spec verdict sharing via language\n"
          "                        inclusion (docs/SERVE.md)\n"
          "  --subsume-states N    state cap per implication check (default 20000)\n"
@@ -189,8 +187,6 @@ int main(int argc, char** argv) {
       config.max_budget_ms = next_num("--max-budget-ms", UINT64_MAX);
     } else if (arg == "--max-threads") {
       config.max_threads = static_cast<unsigned>(next_num("--max-threads", 1024));
-    } else if (arg == "--no-cache") {
-      config.cache = false;
     } else if (arg == "--no-subsume") {
       config.subsume_sharing = false;
     } else if (arg == "--subsume-states") {
