@@ -143,6 +143,7 @@ void write_stats(std::ofstream& out, const analysis::VacuityStats& s) {
       << ", \"safety_prefix\": " << s.safety_prefix
       << ", \"guarantee_dual\": " << s.guarantee_dual
       << ", \"scc\": " << s.scc
+      << ", \"static_proof\": " << s.static_proof
       << ", \"constant\": " << s.constant << ", \"unknown\": " << s.unknown << "}";
 }
 

@@ -85,7 +85,7 @@ std::vector<ltl::Formula> battery(std::size_t n) {
 
 /// Engine / provenance census over one `check_all` run.
 struct Tally {
-  std::size_t safety_prefix = 0, guarantee_dual = 0, scc = 0;
+  std::size_t safety_prefix = 0, guarantee_dual = 0, scc = 0, static_proof = 0;
   std::size_t src_none = 0, src_syntactic = 0, src_normalized = 0;
   std::size_t normalize_steps = 0;
 };
@@ -97,6 +97,7 @@ Tally tally_of(const std::vector<fts::CheckResult>& results) {
       case fts::CheckEngine::SafetyPrefix: ++t.safety_prefix; break;
       case fts::CheckEngine::GuaranteeDual: ++t.guarantee_dual; break;
       case fts::CheckEngine::Scc: ++t.scc; break;
+      case fts::CheckEngine::StaticProof: ++t.static_proof; break;
     }
     switch (r.stats.class_source) {
       case fts::ClassSource::None: ++t.src_none; break;
@@ -215,7 +216,7 @@ void run_seeded_checks() {
 void write_tally(std::ofstream& out, const Tally& t) {
   out << "{\"engines\": {\"safety_prefix\": " << t.safety_prefix
       << ", \"guarantee_dual\": " << t.guarantee_dual << ", \"scc\": " << t.scc
-      << "}, \"sources\": {\"none\": " << t.src_none
+      << ", \"static_proof\": " << t.static_proof << "}, \"sources\": {\"none\": " << t.src_none
       << ", \"syntactic\": " << t.src_syntactic << ", \"normalized\": " << t.src_normalized
       << "}, \"normalize_steps\": " << t.normalize_steps << "}";
 }

@@ -8,8 +8,9 @@
 //      must come back with an *exact* class through the Büchi closure
 //      tests (ExactClass::Source::NbaSemantics), the acceptance criterion
 //      of the complementation work;
-//   3. cost: per-query decision latency and wall time, interned product
-//      states and complement macrostates, plus google-benchmark micro
+//   3. cost: per-query decision latency and wall time, candidate lassos
+//      probed, interned product states and complement macrostates, plus
+//      google-benchmark micro
 //      sections for complementation (forced-rank vs auto) and inclusion.
 // Results land in BENCH_inclusion.json (`ctest -L bench-smoke`).
 //
@@ -47,10 +48,10 @@ std::string json_bool(bool b) { return b ? "true" : "false"; }
 /// engine as deployed.
 constexpr std::size_t kInclusionStateCap = 200000;
 
-/// One entailment query with its ground truth, per direction. Unknown is a
-/// legitimate expectation: it pins the refusal contract — when the
-/// complement macrostate space exceeds the cap the engine must answer
-/// Unknown, never guess.
+/// One entailment query with its ground truth, per direction. Every
+/// expectation is the true answer: when the complement macrostate space
+/// exceeds the cap the engine must answer Unknown, never guess, but no
+/// query of the battery does that any more.
 struct Query {
   const char* stronger;
   const char* weaker;
@@ -62,9 +63,10 @@ using V = omega::InclusionVerdict;
 
 /// The battery. The last query's left side is drawn from the MPH-N003
 /// rescue family, so the inclusion engine and the classification rescue
-/// exercise the same tableau automata; its reverse direction complements
-/// that automaton rank-based, which overruns the cap — the expected
-/// verdict is the refusal, demonstrated rather than hidden.
+/// exercise the same tableau automata. Its reverse direction is false (q at
+/// once, p never): the rank-based complement of that automaton overruns
+/// the cap, but the separating-lasso probe finds ({q})^ω before the
+/// complement is built.
 constexpr Query kQueries[] = {
     {"G p", "G (p | q)", V::Included, V::NotIncluded},
     {"G (p & q)", "G p", V::Included, V::NotIncluded},
@@ -72,7 +74,7 @@ constexpr Query kQueries[] = {
     {"G F p", "F p", V::Included, V::NotIncluded},
     {"G p", "F p", V::Included, V::NotIncluded},
     {"G (p & q)", "G (q & p)", V::Included, V::Included},
-    {"F (p & X (p U q))", "F q", V::Included, V::Unknown},
+    {"F (p & X (p U q))", "F q", V::Included, V::NotIncluded},
 };
 
 /// Formulas the ΔΓ-rewriter refuses (MPH-N003) whose exact class the Büchi
@@ -89,9 +91,11 @@ struct InclusionRow {
   std::string forward, reverse;  // verdicts as strings
   bool agree = false;
   double forward_us = 0, reverse_us = 0;
-  /// Per-query cost, both directions together: interned product states and
-  /// complement macrostates (an Unknown direction contributes 0 to both),
-  /// and the wall time of the two tableaux plus both inclusion runs.
+  /// Per-query cost, both directions together: candidate lassos the probe
+  /// tested, interned product states and complement macrostates (a
+  /// direction the probe decides contributes 0 to the last two), and the
+  /// wall time of the two tableaux plus both inclusion runs.
+  std::size_t lassos_probed = 0;
   std::size_t product_states = 0;
   std::size_t complement_macrostates = 0;
   double wall_ms = 0;
@@ -129,6 +133,7 @@ void write_json(const std::string& path, bool quick, const std::vector<Inclusion
         << "\", \"reverse\": \"" << analysis::json_escape(r.reverse)
         << "\", \"agree\": " << json_bool(r.agree) << ", \"forward_us\": " << r.forward_us
         << ", \"reverse_us\": " << r.reverse_us
+        << ", \"lassos_probed\": " << r.lassos_probed
         << ", \"product_states\": " << r.product_states
         << ", \"complement_macrostates\": " << r.complement_macrostates
         << ", \"wall_ms\": " << r.wall_ms
@@ -235,6 +240,7 @@ int main(int argc, char** argv) {
     row.wall_ms = micros_of(query_start) / 1000.0;
     row.forward = std::string(omega::to_string(fwd.verdict));
     row.reverse = std::string(omega::to_string(rev.verdict));
+    row.lassos_probed = fwd.lassos_probed + rev.lassos_probed;
     row.product_states = fwd.product_states + rev.product_states;
     row.complement_macrostates = fwd.complement.macrostates + rev.complement.macrostates;
     row.ncsb_parts = fwd.complement.ncsb_parts + rev.complement.ncsb_parts;

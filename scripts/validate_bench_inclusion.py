@@ -14,9 +14,12 @@ contracts (docs/COMPLEMENT.md):
   * every verdict string is one of included / not-included / unknown, no
     forward direction is unknown (the stronger ⊨ weaker side always decides
     under the bench cap), and unknown appears on a reverse direction only
-    where the ground truth *expects* the refusal (the rescue-family query,
-    whose rank-based complement overruns the cap — row["agree"] pins it);
-  * every query row reports its cost: wall_ms, product_states and
+    where the ground truth *expects* the refusal (row["agree"] pins it).
+    No battery query expects it any more: the rescue-family query's reverse
+    direction, whose rank-based complement overruns the cap, is decided
+    not-included by the separating-lasso probe;
+  * every query row reports its cost: wall_ms, lassos_probed (at most
+    MAX_PROBED_LASSOS per direction), product_states and
     complement_macrostates (both directions together);
   * the MPH-N003 rescue family: every row has source "nba", a refused
     normalizer, and agree — and the summary counts at least one formula
@@ -30,6 +33,10 @@ import json
 import sys
 
 VERDICTS = ("included", "not-included", "unknown")
+
+# detail::kMaxProbedLassos in src/omega/inclusion_detail.hpp: candidates the
+# probe tests per inclusion call.
+MAX_PROBED_LASSOS = 32
 
 
 def fail(msg):
@@ -68,9 +75,13 @@ def main():
         for key in ("forward_us", "reverse_us", "wall_ms"):
             require(isinstance(row.get(key), (int, float)) and row[key] >= 0,
                     f"{where}: '{key}' missing or negative")
-        for key in ("product_states", "complement_macrostates", "ncsb_parts", "rank_parts"):
+        for key in ("lassos_probed", "product_states", "complement_macrostates",
+                    "ncsb_parts", "rank_parts"):
             require(isinstance(row.get(key), int) and row[key] >= 0,
                     f"{where}: '{key}' missing or negative")
+        require(row["lassos_probed"] <= 2 * MAX_PROBED_LASSOS,
+                f"{where}: {row['lassos_probed']} lassos probed over two directions, "
+                f"more than 2 x {MAX_PROBED_LASSOS}")
 
     rescue = data.get("rescue")
     require(isinstance(rescue, list) and rescue, "'rescue' missing or empty")

@@ -16,7 +16,7 @@ Usage: validate_bench_normalize.py PATH
 import json
 import sys
 
-ENGINE_KEYS = {"safety_prefix", "guarantee_dual", "scc"}
+ENGINE_KEYS = {"safety_prefix", "guarantee_dual", "scc", "static_proof"}
 SOURCE_KEYS = {"none", "syntactic", "normalized"}
 ENGINES = {"SCC", "safety-prefix", "guarantee-dual"}
 SOURCES = {"none", "syntactic", "normalized"}

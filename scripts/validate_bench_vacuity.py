@@ -18,6 +18,7 @@ STAT_KEYS = {
     "safety_prefix",
     "guarantee_dual",
     "scc",
+    "static_proof",
     "constant",
     "unknown",
 }

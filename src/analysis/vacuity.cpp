@@ -270,6 +270,7 @@ VacuityResult analyze_vacuity(const fts::Fts& system, const std::vector<ltl::For
         case fts::CheckEngine::SafetyPrefix: ++result.stats.safety_prefix; break;
         case fts::CheckEngine::GuaranteeDual: ++result.stats.guarantee_dual; break;
         case fts::CheckEngine::Scc: ++result.stats.scc; break;
+        case fts::CheckEngine::StaticProof: ++result.stats.static_proof; break;
       }
     }
   }

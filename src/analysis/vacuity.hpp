@@ -88,6 +88,7 @@ struct VacuityStats {
   std::size_t safety_prefix = 0;   ///< mutants decided by the closed-prefix scan
   std::size_t guarantee_dual = 0;  ///< mutants decided through the safety dual
   std::size_t scc = 0;             ///< mutants on the full ω-product (SCC search)
+  std::size_t static_proof = 0;    ///< mutants discharged by `check.static_prover`
   std::size_t constant = 0;        ///< atom-free mutants decided by evaluation
   std::size_t unknown = 0;         ///< mutants whose check exhausted its budget
 };

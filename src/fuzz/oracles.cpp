@@ -24,6 +24,7 @@
 #include "src/omega/emptiness.hpp"
 #include "src/omega/graph.hpp"
 #include "src/omega/inclusion.hpp"
+#include "src/omega/inclusion_detail.hpp"
 #include "src/omega/operators.hpp"
 #include "src/support/check.hpp"
 #include "src/support/flat_hash.hpp"
@@ -1042,10 +1043,13 @@ CheckOutcome check_lasso_roundtrip(const FuzzCase& c, const Budget& budget) {
 // nba-inclusion: Safra-free Büchi complementation and language inclusion
 // (docs/COMPLEMENT.md) against per-lasso membership. comp(A) must disagree
 // with A on every enumerated lasso; NCSB and rank-based complements of a
-// semi-deterministic input must denote the same language; included(A,B)
-// must not answer Included when the sweep finds a separating lasso, and a
-// NotIncluded counterexample must actually separate. Budget exhaustion in
-// any leg is a skip, never a verdict.
+// semi-deterministic input must denote the same language. Inclusion is
+// checked stage by stage (src/omega/inclusion_detail.hpp): the complement
+// product alone must not answer Included when the sweep finds a separating
+// lasso, every counterexample (probe or product) must actually separate,
+// the product must never answer Included where the probe separated, and
+// included() must give what its stages give. Budget exhaustion in any leg
+// is a skip, never a verdict.
 
 FuzzCase gen_nba_inclusion(Rng& rng) {
   FuzzCase c;
@@ -1101,34 +1105,57 @@ CheckOutcome check_nba_inclusion(const FuzzCase& c, const Budget& budget) {
     }
     if (auto gate = budget_gate(budget)) return *gate;
   }
-  // Leg 3: inclusion in both directions vs the lasso sweep, with
-  // counterexample validation.
+  // Leg 3: inclusion in both directions, stage by stage. The complement
+  // product alone answers against the lasso sweep; a probe answer must
+  // separate, and the product must never call that pair Included.
   omega::InclusionOptions io;
   io.budget = capped;
+  auto separates = [](const Lasso& l, const omega::Nba& x, const omega::Nba& y) {
+    return x.accepts(l) && !y.accepts(l);
+  };
   const std::pair<const omega::Nba*, const omega::Nba*> directions[] = {{&a, &b}, {&b, &a}};
   for (const auto& [x, y] : directions) {
-    const auto r = omega::included(*x, *y, io);
+    const auto probe = omega::detail::probe_separating_lasso(*x, *y, budget);
+    if (probe.separating && !separates(*probe.separating, *x, *y))
+      return CheckOutcome::fail("probe lasso " + probe.separating->to_string(a.alphabet()) +
+                                " does not separate the languages");
+    const auto r = omega::detail::included_by_complement(*x, *y, io);
     if (r.verdict == omega::InclusionVerdict::Unknown)
       return CheckOutcome::exhausted("inclusion budget exhausted (" +
                                      std::string(to_string(r.outcome)) + ")");
+    if (probe.separating && r.verdict == omega::InclusionVerdict::Included)
+      return CheckOutcome::fail("product says ⊆ but the probe found " +
+                                probe.separating->to_string(a.alphabet()));
     std::optional<Lasso> separating;
     for (const Lasso& l : lassos)
-      if (x->accepts(l) && !y->accepts(l)) {
+      if (separates(l, *x, *y)) {
         separating = l;
         break;
       }
     if (r.verdict == omega::InclusionVerdict::Included && separating)
-      return CheckOutcome::fail("included() says ⊆ but " +
-                                separating->to_string(a.alphabet()) +
+      return CheckOutcome::fail("product says ⊆ but " + separating->to_string(a.alphabet()) +
                                 " is in L(A) ∖ L(B)");
     if (r.verdict == omega::InclusionVerdict::NotIncluded) {
       if (!r.counterexample)
         return CheckOutcome::fail("NotIncluded without a counterexample");
-      if (!x->accepts(*r.counterexample) || y->accepts(*r.counterexample))
+      if (!separates(*r.counterexample, *x, *y))
         return CheckOutcome::fail("inclusion counterexample " +
                                   r.counterexample->to_string(a.alphabet()) +
                                   " does not separate the languages");
     }
+    // The composed answer: the probe's if it separated, else the product's.
+    const auto full = omega::included(*x, *y, io);
+    if (full.verdict == omega::InclusionVerdict::Unknown)
+      return CheckOutcome::exhausted("inclusion budget exhausted (" +
+                                     std::string(to_string(full.outcome)) + ")");
+    const auto expected = probe.separating ? omega::InclusionVerdict::NotIncluded : r.verdict;
+    if (full.verdict != expected)
+      return CheckOutcome::fail("included() answered " + std::string(to_string(full.verdict)) +
+                                " where its stages give " + std::string(to_string(expected)));
+    if (full.counterexample && !separates(*full.counterexample, *x, *y))
+      return CheckOutcome::fail("included() counterexample " +
+                                full.counterexample->to_string(a.alphabet()) +
+                                " does not separate the languages");
     if (auto gate = budget_gate(budget)) return *gate;
   }
   // Leg 4: reflexivity — L(A) ⊆ L(A) can refuse, never answer no.

@@ -1,8 +1,11 @@
 #include "src/omega/inclusion.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "src/omega/graph.hpp"
+#include "src/omega/inclusion_detail.hpp"
 #include "src/support/check.hpp"
 #include "src/support/flat_hash.hpp"
 
@@ -21,25 +24,99 @@ std::string_view to_string(InclusionVerdict v) {
   return "unknown";
 }
 
-InclusionResult included(const Nba& a, const Nba& b, const InclusionOptions& options) {
-  MPH_REQUIRE(a.alphabet() == b.alphabet(), "inclusion requires a common alphabet");
-  InclusionResult out;
-  // Trim A to states that matter for an accepting A-run: the product's
-  // acceptance already demands A-accepting states infinitely often, so
-  // dead A-states only inflate the product.
+namespace {
+
+/// A's reachable states from which an accepting run can start. Both stages
+/// work over these alone: the product's acceptance already demands
+/// A-accepting states infinitely often, so dead A-states only inflate it,
+/// and every probe candidate runs through them.
+std::vector<bool> useful_states(const Nba& a) {
   const MarkedGraph g = to_graph(a);
   const auto reach = graph_reachable(g);
   const auto live = live_states(g, Acceptance::buchi(0));
   std::vector<bool> keep(a.state_count());
-  bool any_initial = false;
   for (State q = 0; q < a.state_count(); ++q) keep[q] = reach[q] && live[q];
-  for (State q : a.initial_states()) any_initial = any_initial || keep[q];
-  if (!any_initial) {
-    // L(A) = ∅ ⊆ anything.
-    out.verdict = InclusionVerdict::Included;
-    return out;
-  }
+  return keep;
+}
 
+bool any_initial(const Nba& a, const std::vector<bool>& keep) {
+  return std::any_of(a.initial_states().begin(), a.initial_states().end(),
+                     [&](State q) { return keep[q]; });
+}
+
+/// L(A) = ∅ ⊆ anything.
+InclusionResult empty_left() {
+  InclusionResult out;
+  out.verdict = InclusionVerdict::Included;
+  return out;
+}
+
+detail::ProbeResult probe(const Nba& a, const std::vector<bool>& keep, const Nba& b,
+                          const Budget& budget) {
+  detail::ProbeResult out;
+  // Breadth-first access words over the useful states: each state keeps
+  // the edge it was first reached by.
+  constexpr State kRoot = std::numeric_limits<State>::max();
+  std::vector<std::pair<State, Symbol>> parent(a.state_count(), {kRoot, 0});
+  std::vector<bool> seen(a.state_count());
+  std::vector<State> order;
+  for (State q : a.initial_states())
+    if (keep[q] && !seen[q]) {
+      seen[q] = true;
+      order.push_back(q);
+    }
+  for (std::size_t i = 0; i < order.size(); ++i)
+    for (auto [s, t] : a.edges(order[i]))
+      if (keep[t] && !seen[t]) {
+        seen[t] = true;
+        parent[t] = {order[i], s};
+        order.push_back(t);
+      }
+  auto access = [&](State q) {
+    lang::Word u;
+    for (; parent[q].first != kRoot; q = parent[q].first) u.push_back(parent[q].second);
+    std::reverse(u.begin(), u.end());
+    return u;
+  };
+  // Tests one candidate; true ends the probe (separated, bound reached or
+  // budget gone). A word already tested is skipped without a charge.
+  std::vector<Lasso> tested;
+  auto test = [&](Lasso l) {
+    for (const Lasso& t : tested)
+      if (t.same_word(l)) return false;
+    if (out.probed == detail::kMaxProbedLassos) return true;
+    out.outcome = budget.poll();
+    if (!is_complete(out.outcome)) return true;
+    ++out.probed;
+    if (!b.accepts(l)) {
+      out.separating = std::move(l);
+      return true;
+    }
+    tested.push_back(std::move(l));
+    return false;
+  };
+  // Loops of length 1 at accepting states, then loops of length 2 through
+  // an accepting state; each round in breadth-first order of the loop's
+  // state.
+  for (State q : order) {
+    if (!a.accepting(q)) continue;
+    for (auto [s, t] : a.edges(q))
+      if (t == q && test(Lasso{access(q), {s}})) return out;
+  }
+  for (State q : order)
+    for (auto [s1, r] : a.edges(q)) {
+      if (!keep[r] || !(a.accepting(q) || a.accepting(r))) continue;
+      for (auto [s2, t] : a.edges(r))
+        if (t == q && test(Lasso{access(q), {s1, s2}})) return out;
+    }
+  return out;
+}
+
+/// The A × comp(B) product over A's useful states; decides every pair, up
+/// to the budget.
+InclusionResult product_stage(const Nba& a, const std::vector<bool>& keep, const Nba& b,
+                              const InclusionOptions& options) {
+  InclusionResult out;
   ComplementOptions copts;
   copts.budget = options.budget;
   copts.algorithm = options.algorithm;
@@ -122,6 +199,46 @@ InclusionResult included(const Nba& a, const Nba& b, const InclusionOptions& opt
   // What was built, also when the budget ran out part-way.
   out.product_states = ids.size();
   out.complement = eng.stats();
+  return out;
+}
+
+}  // namespace
+
+namespace detail {
+
+ProbeResult probe_separating_lasso(const Nba& a, const Nba& b, const Budget& budget) {
+  MPH_REQUIRE(a.alphabet() == b.alphabet(), "inclusion requires a common alphabet");
+  return probe(a, useful_states(a), b, budget);
+}
+
+InclusionResult included_by_complement(const Nba& a, const Nba& b,
+                                       const InclusionOptions& options) {
+  MPH_REQUIRE(a.alphabet() == b.alphabet(), "inclusion requires a common alphabet");
+  const std::vector<bool> keep = useful_states(a);
+  if (!any_initial(a, keep)) return empty_left();
+  return product_stage(a, keep, b, options);
+}
+
+}  // namespace detail
+
+InclusionResult included(const Nba& a, const Nba& b, const InclusionOptions& options) {
+  MPH_REQUIRE(a.alphabet() == b.alphabet(), "inclusion requires a common alphabet");
+  const std::vector<bool> keep = useful_states(a);
+  if (!any_initial(a, keep)) return empty_left();
+  // Counterexample first: a short lasso of A that B rejects is the proof
+  // of non-inclusion, found before any complement macrostate is built. The
+  // product stays the only route to Included and to Unknown-by-state-cap.
+  detail::ProbeResult p = probe(a, keep, b, options.budget);
+  InclusionResult out;
+  if (p.separating) {
+    out.verdict = InclusionVerdict::NotIncluded;
+    out.counterexample = std::move(p.separating);
+  } else if (!is_complete(p.outcome)) {
+    out.outcome = p.outcome;
+  } else {
+    out = product_stage(a, keep, b, options);
+  }
+  out.lassos_probed = p.probed;
   return out;
 }
 

@@ -2,7 +2,10 @@
 // (docs/COMPLEMENT.md): L(A) ⊆ L(B) iff A ∩ comp(B) = ∅, with comp(B)
 // driven on the fly through the SCC-decomposed ComplementEngine — only the
 // complement macrostates the product actually reaches are ever built.
-// Budget-governed: exhaustion answers Unknown, never a guess.
+// Counterexample first: a bounded probe tests short lassos of A against B
+// before any complement is built, and a lasso B rejects decides
+// NotIncluded at once. Budget-governed: exhaustion answers Unknown, never a
+// guess.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +31,10 @@ struct InclusionResult {
   Outcome outcome = Outcome::Complete;
   /// A word in L(A) ∖ L(B); engaged iff verdict is NotIncluded.
   std::optional<Lasso> counterexample;
+  /// Candidate lassos of A tested against B before the product, at most
+  /// detail::kMaxProbedLassos (32); when the probe decides, the product is
+  /// never built.
+  std::size_t lassos_probed = 0;
   /// Interned states of the A × comp(B) product.
   std::size_t product_states = 0;
   ComplementStats complement;

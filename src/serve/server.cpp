@@ -224,7 +224,7 @@ ResolvedModel resolve_model(const Json& model) {
     const std::string& name = model.as_string();
     if (auto program = fts::programs::builtin_model(name))
       return ResolvedModel{std::move(program->system), std::move(program->atoms),
-                           builtin_model_digest(name), name};
+                           builtin_model_digest(name), name, std::nullopt};
     throw std::invalid_argument("unknown model '" + name + "'");
   }
   fuzz::FtsSpec spec = fts_spec_from_json(model);
@@ -748,6 +748,8 @@ Json Server::handle_vacuity(const Json& request) {
                           .field("guarantee_dual",
                                  static_cast<std::uint64_t>(st.guarantee_dual))
                           .field("scc", static_cast<std::uint64_t>(st.scc))
+                          .field("static_proof",
+                                 static_cast<std::uint64_t>(st.static_proof))
                           .field("constant", static_cast<std::uint64_t>(st.constant))
                           .field("unknown", static_cast<std::uint64_t>(st.unknown))
                           .build())

@@ -1,13 +1,17 @@
 // Büchi complementation + language inclusion (docs/COMPLEMENT.md):
 // differential agreement against lasso enumeration, NCSB vs rank-based
 // agreement on semi-deterministic inputs, inclusion reflexivity and
-// antisymmetry-up-to-language, and budget-refusal determinism.
+// antisymmetry-up-to-language, budget-refusal determinism, and the two
+// inclusion stages (separating-lasso probe, complement product) against
+// each other.
 #include <gtest/gtest.h>
 
 #include "src/fuzz/generators.hpp"
+#include "src/ltl/eval.hpp"
 #include "src/ltl/to_nba.hpp"
 #include "src/omega/complement.hpp"
 #include "src/omega/inclusion.hpp"
+#include "src/omega/inclusion_detail.hpp"
 #include "src/omega/lasso.hpp"
 #include "src/support/rng.hpp"
 
@@ -177,21 +181,119 @@ TEST(Inclusion, BudgetRefusalIsDeterministic) {
   }
 }
 
-TEST(Inclusion, UnknownReportsWhatWasBuilt) {
-  // F q ⊆ F(p ∧ X(p U q)) runs out at the 200k cap serve and the benches
-  // use; the product and complement telemetry still count what was built.
+/// Tableau NBAs of two formulas over the joint alphabet {p, q}.
+std::pair<Nba, Nba> pq_pair(const char* left, const char* right) {
   const lang::Alphabet sigma = lang::Alphabet::of_props({"p", "q"});
+  return {ltl::to_nba(ltl::parse_formula(left), sigma),
+          ltl::to_nba(ltl::parse_formula(right), sigma)};
+}
+
+TEST(Inclusion, UnknownReportsWhatWasBuilt) {
+  // F(p ∧ X(p U q)) ⊆ F q holds, so no lasso separates and only the
+  // product decides; its product has 1,093 states, so a cap of 500 runs
+  // out part-way. The probe, product and complement telemetry still count
+  // what was built.
+  const auto [a, b] = pq_pair("F (p & X (p U q))", "F q");
   InclusionOptions o;
-  o.budget.with_state_cap(200000);
-  const InclusionResult r =
-      included(ltl::to_nba(ltl::parse_formula("F q"), sigma),
-               ltl::to_nba(ltl::parse_formula("F (p & X (p U q))"), sigma), o);
+  o.budget.with_state_cap(500);
+  const InclusionResult r = included(a, b, o);
   EXPECT_EQ(r.verdict, InclusionVerdict::Unknown);
   EXPECT_EQ(r.outcome, Outcome::BudgetStates);
   EXPECT_FALSE(r.counterexample.has_value());
+  EXPECT_GT(r.lassos_probed, 0u);
   EXPECT_GT(r.product_states, 0u);
   EXPECT_GT(r.complement.parts, 0u);
   EXPECT_GT(r.complement.macrostates, 0u);
+}
+
+TEST(Inclusion, Tab17RowIsNotIncludedWithReplayedLasso) {
+  // F q ⊄ F(p ∧ X(p U q)): q at once, p never. The complement product
+  // overran the 200k cap serve and the benches use on this row; the probe
+  // finds the separating lasso before any complement is built.
+  const lang::Alphabet sigma = lang::Alphabet::of_props({"p", "q"});
+  const ltl::Formula fa = ltl::parse_formula("F q");
+  const ltl::Formula fb = ltl::parse_formula("F (p & X (p U q))");
+  const Nba a = ltl::to_nba(fa, sigma);
+  const Nba b = ltl::to_nba(fb, sigma);
+  InclusionOptions o;
+  o.budget.with_state_cap(200000);
+  const InclusionResult r = included(a, b, o);
+  EXPECT_EQ(r.verdict, InclusionVerdict::NotIncluded);
+  EXPECT_EQ(r.outcome, Outcome::Complete);
+  EXPECT_EQ(r.product_states, 0u) << "the probe decides before the product";
+  EXPECT_EQ(r.complement.macrostates, 0u);
+  ASSERT_TRUE(r.counterexample.has_value());
+  const Lasso& cex = *r.counterexample;
+  EXPECT_TRUE(a.accepts(cex)) << cex.to_string(sigma);
+  EXPECT_FALSE(b.accepts(cex)) << cex.to_string(sigma);
+  EXPECT_TRUE(ltl::evaluates(fa, cex, sigma)) << cex.to_string(sigma);
+  EXPECT_FALSE(ltl::evaluates(fb, cex, sigma)) << cex.to_string(sigma);
+}
+
+TEST(Inclusion, ProbeStaysWithinItsBoundOnIncludedPairs) {
+  // An included pair has no separating lasso, so the probe tests every
+  // candidate it generates, up to the fixed bound, before the product
+  // decides.
+  for (auto [left, right] : {std::pair{"F (p & X (p U q))", "F q"},
+                             std::pair{"p U q", "F q"}, std::pair{"G p", "G (p | q)"}}) {
+    const auto [a, b] = pq_pair(left, right);
+    const InclusionResult r = included(a, b);
+    EXPECT_EQ(r.verdict, InclusionVerdict::Included) << left;
+    EXPECT_GT(r.lassos_probed, 0u) << left;
+    EXPECT_LE(r.lassos_probed, detail::kMaxProbedLassos) << left;
+  }
+  // A universal automaton over 6 letters against itself: it has more
+  // distinct candidates than the bound and accepts every one, so only the
+  // bound stops the probe.
+  Nba all(letters(6));
+  all.add_state();
+  all.add_state();
+  all.set_accepting(0, true);
+  all.set_accepting(1, true);
+  for (Symbol s = 0; s < 6; ++s)
+    for (State from = 0; from < 2; ++from)
+      for (State to = 0; to < 2; ++to) all.add_edge(from, s, to);
+  all.add_initial(0);
+  const InclusionResult r = included(all, all);
+  EXPECT_EQ(r.verdict, InclusionVerdict::Included);
+  EXPECT_EQ(r.lassos_probed, detail::kMaxProbedLassos);
+}
+
+TEST(Inclusion, ProbeAnswersSeparateAndTheProductAgrees) {
+  // Every probe answer is a lasso of A that B rejects; the product stage
+  // alone never contradicts it.
+  Rng rng(0x9e0be);
+  int separated = 0;
+  for (int iter = 0; iter < 60; ++iter) {
+    lang::Alphabet sigma = letters(2);
+    Nba a = fuzz::random_nba(rng, sigma, 1 + rng.below(4));
+    Nba b = fuzz::random_nba(rng, sigma, 1 + rng.below(4));
+    const detail::ProbeResult p = detail::probe_separating_lasso(a, b, Budget());
+    EXPECT_LE(p.probed, detail::kMaxProbedLassos);
+    if (!p.separating) continue;
+    ++separated;
+    EXPECT_TRUE(a.accepts(*p.separating)) << "iteration " << iter;
+    EXPECT_FALSE(b.accepts(*p.separating)) << "iteration " << iter;
+    InclusionOptions opts;
+    opts.budget = Budget().with_state_cap(50000);
+    const InclusionResult r = detail::included_by_complement(a, b, opts);
+    EXPECT_NE(r.verdict, InclusionVerdict::Included) << "iteration " << iter;
+    EXPECT_EQ(r.lassos_probed, 0u);
+  }
+  EXPECT_GE(separated, 10);
+}
+
+TEST(Inclusion, ProbeHonoursCancellation) {
+  std::stop_source stop;
+  stop.request_stop();
+  InclusionOptions o;
+  o.budget.with_stop_token(stop.get_token());
+  const auto [a, b] = pq_pair("F q", "F (p & X (p U q))");
+  const InclusionResult r = included(a, b, o);
+  EXPECT_EQ(r.verdict, InclusionVerdict::Unknown);
+  EXPECT_EQ(r.outcome, Outcome::Cancelled);
+  EXPECT_EQ(r.lassos_probed, 0u);
+  EXPECT_EQ(r.product_states, 0u);
 }
 
 TEST(Inclusion, StrictSubsetDirections) {

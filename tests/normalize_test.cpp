@@ -97,9 +97,10 @@ TEST_P(NormalizeCorpus, SyntacticContainsExact) {
   for (auto cls : {PropertyClass::Safety, PropertyClass::Guarantee,
                    PropertyClass::Obligation, PropertyClass::Recurrence,
                    PropertyClass::Persistence}) {
-    if (syn.is(cls))
+    if (syn.is(cls)) {
       EXPECT_TRUE(exact->value.is(cls))
           << f.to_string() << " syntactic over-claimed " << core::to_string(cls);
+    }
   }
 }
 
@@ -146,9 +147,10 @@ TEST_P(NormalizeFuzzSweep, RandomFormulasPreserveLanguageAndClass) {
     for (auto cls : {PropertyClass::Safety, PropertyClass::Guarantee,
                      PropertyClass::Obligation, PropertyClass::Recurrence,
                      PropertyClass::Persistence}) {
-      if (syn.is(cls))
+      if (syn.is(cls)) {
         EXPECT_TRUE(sem.is(cls))
             << f.to_string() << " syntactic over-claimed " << core::to_string(cls);
+      }
     }
   }
   // The envelope is meant to be broad: a healthy share of small random

@@ -11,8 +11,8 @@
 //   * the state cap boundary of to_nba and determinize (their outcome at
 //     one state below the size they reach);
 // then the core::classify_nba verdict, and for each tab17 entailment query
-// (both directions) the omega::included verdict, counterexample,
-// product_states, ComplementStats and cap boundary.
+// (both directions) the omega::included verdict, lassos probed,
+// counterexample, product_states, ComplementStats and cap boundary.
 //
 // A kernel rewrite that changes any automaton state for state or edge for
 // edge, or moves an exhaustion point, shows up as a row diff against
@@ -233,6 +233,7 @@ std::string inclusion_row(const char* left, const char* right) {
   std::string row = std::string(left) + " |= " + right +
                     "\tverdict=" + std::string(omega::to_string(r.verdict)) +
                     " outcome=" + std::string(to_string(r.outcome)) +
+                    " probed=" + std::to_string(r.lassos_probed) +
                     " product=" + std::to_string(r.product_states) +
                     " parts=" + std::to_string(r.complement.parts) +
                     " ncsb=" + std::to_string(r.complement.ncsb_parts) +
@@ -242,6 +243,8 @@ std::string inclusion_row(const char* left, const char* right) {
   if (!is_complete(r.outcome)) return row + "\t" + outcome_at(kCap, r.outcome);
   // Smallest cap that completes; the run is deterministic and fails exactly
   // when some admission count reaches the cap, so the outcome is monotone.
+  // The lasso probe interns no states, so a query it decides completes at
+  // cap 0.
   std::size_t lo = 0, hi = kCap;
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;

@@ -39,10 +39,16 @@ TEST(Implies, ExhaustedBudgetRefusesDeterministically) {
   SubsumeOptions tight;
   tight.budget = Budget().with_state_cap(1);
   // Refusal is a verdict, not a crash — and re-asking must refuse the same
-  // way (the memoized three-valued answers in mph-serve rely on this).
+  // way (the memoized three-valued answers in mph-serve rely on this). The
+  // implication holds, so no separating lasso decides it before the
+  // two-state inclusion product, which the cap of 1 cuts off.
   for (int round = 0; round < 2; ++round)
-    EXPECT_EQ(analysis::implies(parse_formula("G p"), parse_formula("G (p & q)"), tight),
+    EXPECT_EQ(analysis::implies(parse_formula("G (p & q)"), parse_formula("G p"), tight),
               Implication::Unknown);
+  // The converse is refuted by a lasso of G p alone, before any product
+  // state is admitted.
+  EXPECT_EQ(analysis::implies(parse_formula("G p"), parse_formula("G (p & q)"), tight),
+            Implication::NotImplies);
 }
 
 TEST(Implies, OversizedAlphabetIsRefusedNotGuessed) {

@@ -7,9 +7,11 @@
 // budget exhaustion surfacing as Unknown — never as "non-vacuous".
 #include <gtest/gtest.h>
 
+#include "src/analysis/absint.hpp"
 #include "src/analysis/coverage.hpp"
 #include "src/analysis/vacuity.hpp"
 #include "src/fts/programs.hpp"
+#include "src/fts/spec_model.hpp"
 #include "src/ltl/eval.hpp"
 #include "src/ltl/polarity.hpp"
 
@@ -218,6 +220,23 @@ TEST(Vacuity, BudgetExhaustionIsUnknownNeverNonVacuous) {
   EXPECT_EQ(vr.requirements[0].verdict, RequirementVacuity::Verdict::Unknown);
   EXPECT_TRUE(diag.has_code("MPH-Y005"));
   EXPECT_FALSE(diag.has_code("MPH-Y003"));
+}
+
+TEST(Dispatch, StaticProverMutantsAreTallied) {
+  // Every checked mutant lands in exactly one tally, the static prover's
+  // included: replacing pc0hi by false leaves `G alarmlo`, which the
+  // interval prover certifies without exploring.
+  const fts::FtsSpec spec = fts::symbolic_dining(2);
+  analysis::VacuityOptions opts;
+  opts.check.static_prover = analysis::make_static_prover(spec);
+  analysis::DiagnosticEngine diag;
+  const auto vr = analysis::analyze_vacuity(spec.build(), {parse_formula("G (alarmlo | pc0hi)")},
+                                            spec.atoms(), diag, opts);
+  const analysis::VacuityStats& st = vr.stats;
+  EXPECT_GE(st.static_proof, 1u);
+  EXPECT_EQ(st.safety_prefix + st.guarantee_dual + st.scc + st.static_proof + st.constant +
+                st.unknown,
+            st.mutants_checked);
 }
 
 TEST(Dispatch, SafetyMutantsStayOffTheOmegaProduct) {

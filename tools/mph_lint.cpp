@@ -452,7 +452,7 @@ int main(int argc, char** argv) {
                       << t.to_string() << "mutants: " << st.mutants_checked << " checked, "
                       << st.mutants_skipped << " skipped; engines: safety-prefix "
                       << st.safety_prefix << ", guarantee-dual " << st.guarantee_dual
-                      << ", SCC " << st.scc
+                      << ", SCC " << st.scc << ", static " << st.static_proof
                       << ", constant " << st.constant << "; unknown " << st.unknown << "\n\n";
             for (const auto& rv : vr.requirements)
               if (rv.witness)
@@ -494,6 +494,7 @@ int main(int argc, char** argv) {
              << ", \"safety_prefix\": " << st.safety_prefix
              << ", \"guarantee_dual\": " << st.guarantee_dual
              << ", \"scc\": " << st.scc
+             << ", \"static_proof\": " << st.static_proof
              << ", \"constant\": " << st.constant << ", \"unknown\": " << st.unknown
              << "}}";
           extra_json += vj.str();
