@@ -72,7 +72,8 @@ Run run_vacuity(const Program& prog, const std::vector<ltl::Formula>& specs, boo
   Run run;
   run.seconds = best_seconds(repeats, [&] {
     analysis::DiagnosticEngine diag;
-    run.result = analysis::analyze_vacuity(prog.system, specs, prog.atoms, diag, opts);
+    fts::ModelContext model(prog.system, prog.atoms);
+    run.result = analysis::analyze_vacuity(model, specs, diag, opts);
   });
   return run;
 }
@@ -114,10 +115,10 @@ void run_seeded_checks() {
   {
     Program prog = fts::programs::trivial_mutex();
     analysis::DiagnosticEngine diag;
+    fts::ModelContext model(prog.system, prog.atoms);
     auto vr = analysis::analyze_vacuity(
-        prog.system,
-        {ltl::parse_formula("G !(c1 & c2)"), ltl::parse_formula("G(c1 -> O t1)")},
-        prog.atoms, diag);
+        model, {ltl::parse_formula("G !(c1 & c2)"), ltl::parse_formula("G(c1 -> O t1)")},
+        diag);
     BENCH_CHECK(vr.requirements[0].verdict == analysis::RequirementVacuity::Verdict::Vacuous,
                 "seeded trivial-mutex spec is vacuous");
     BENCH_CHECK(diag.has_code("MPH-Y001"), "vacuous pass names a witnessing mutation");
@@ -128,8 +129,8 @@ void run_seeded_checks() {
   {
     Program prog = fts::programs::peterson();
     analysis::DiagnosticEngine diag;
-    auto vr = analysis::analyze_vacuity(prog.system, {ltl::parse_formula("G(t1 -> F c1)")},
-                                        prog.atoms, diag);
+    fts::ModelContext model(prog.system, prog.atoms);
+    auto vr = analysis::analyze_vacuity(model, {ltl::parse_formula("G(t1 -> F c1)")}, diag);
     BENCH_CHECK(
         vr.requirements[0].verdict == analysis::RequirementVacuity::Verdict::NonVacuous,
         "peterson response requirement is non-vacuous");
@@ -181,8 +182,8 @@ void bench_vacuity_dispatch(benchmark::State& state) {
   opts.check.force_scc = state.range(1) == 0;
   for (auto _ : state) {
     analysis::DiagnosticEngine diag;
-    benchmark::DoNotOptimize(
-        analysis::analyze_vacuity(prog.system, specs, prog.atoms, diag, opts));
+    fts::ModelContext model(prog.system, prog.atoms);
+    benchmark::DoNotOptimize(analysis::analyze_vacuity(model, specs, diag, opts));
   }
   state.SetLabel("processes=" + std::to_string(n) +
                  (opts.check.force_scc ? " full" : " dispatch"));

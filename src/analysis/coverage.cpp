@@ -31,20 +31,18 @@ fts::Fts without_transition(const fts::Fts& src, std::size_t removed) {
 
 }  // namespace
 
-CoverageResult analyze_coverage(const fts::Fts& system, const std::vector<ltl::Formula>& specs,
-                                const fts::AtomMap& atoms, DiagnosticEngine& out,
-                                const CoverageOptions& options) {
+CoverageResult analyze_coverage(fts::ModelContext& model, const std::vector<ltl::Formula>& specs,
+                                DiagnosticEngine& out, const CoverageOptions& options) {
   CoverageResult result;
   fts::CheckOptions co = options.check;
   co.diagnostics = nullptr;
-  Budget budget = co.budget;
-  if (!budget.has_state_cap()) budget.with_state_cap(fts::kDefaultStateCap);
+  const fts::Fts& system = model.system();
 
-  const auto base = fts::check_all(system, specs, atoms, co);
+  const auto base = fts::check(model, specs, co);
   for (const auto& r : base)
     if (!is_complete(r.outcome)) result.outcome = worst(result.outcome, r.outcome);
 
-  fts::ExploreResult ex = fts::explore(system, budget);
+  const fts::ExploreResult& ex = model.exploration();
   result.outcome = worst(result.outcome, ex.outcome);
   if (!is_complete(result.outcome)) {
     out.emit("MPH-Y005", "transition coverage",
@@ -73,7 +71,7 @@ CoverageResult analyze_coverage(const fts::Fts& system, const std::vector<ltl::F
     }
     ++result.reachable;
     const fts::Fts variant = without_transition(system, t);
-    const auto res = fts::check_all(variant, specs, atoms, co);
+    const auto res = fts::check_all(variant, specs, model.atoms(), co);
     for (std::size_t i = 0; i < specs.size(); ++i) {
       if (!is_complete(res[i].outcome)) {
         tc.unknown = true;

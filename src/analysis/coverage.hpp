@@ -5,6 +5,10 @@
 // transition is *uncovered* (MPH-Y004). Aggregate percentages quantify how
 // much of the model's reachable behavior the specification actually pins
 // down.
+//
+// Cost model: one base exploration (the caller's fts::ModelContext, shared
+// with whatever else ran on it) plus one per reachable transition, each
+// variant on a context of its own.
 #pragma once
 
 #include <string>
@@ -19,10 +23,6 @@ struct CoverageOptions {
   /// Engine options for the base and per-variant checks; diagnostics are
   /// ignored (only MPH-Y findings are reported).
   fts::CheckOptions check;
-  /// Used by run_passes: whether the registered `coverage` pass runs (off by
-  /// default — each reachable transition costs a full re-check of every
-  /// requirement).
-  bool enabled = false;
 };
 
 struct TransitionCoverage {
@@ -45,11 +45,11 @@ struct CoverageResult {
   Outcome outcome = Outcome::Complete;
 };
 
-/// Re-checks `specs` against one variant of `system` per reachable
-/// transition (that transition's guard forced false) and reports MPH-Y004
-/// for every uncovered one, MPH-Y005 where the budget ran out.
-CoverageResult analyze_coverage(const fts::Fts& system, const std::vector<ltl::Formula>& specs,
-                                const fts::AtomMap& atoms, DiagnosticEngine& out,
-                                const CoverageOptions& options = {});
+/// Checks `specs` on the context's model, then re-checks them against one
+/// variant of the model per reachable transition of the context's graph
+/// (that transition's guard forced false), and reports MPH-Y004 for every
+/// uncovered one, MPH-Y005 where the budget ran out.
+CoverageResult analyze_coverage(fts::ModelContext& model, const std::vector<ltl::Formula>& specs,
+                                DiagnosticEngine& out, const CoverageOptions& options = {});
 
 }  // namespace mph::analysis

@@ -20,9 +20,6 @@ Subject Subject::of(const fts::Fts& f, std::string name) {
 Subject Subject::of(const std::vector<ltl::Formula>& spec, std::string name) {
   return Subject(Kind::Spec, std::move(name), &spec);
 }
-Subject Subject::of(const CheckedSpec& cs, std::string name) {
-  return Subject(Kind::CheckedSpec, std::move(name), &cs);
-}
 Subject Subject::of(const fts::FtsSpec& spec, std::string name) {
   return Subject(Kind::SpecModel, std::move(name), &spec);
 }
@@ -47,10 +44,6 @@ const std::vector<ltl::Formula>& Subject::spec() const {
   MPH_REQUIRE(kind_ == Kind::Spec, "subject is not a specification");
   return *static_cast<const std::vector<ltl::Formula>*>(ptr_);
 }
-const CheckedSpec& Subject::checked_spec() const {
-  MPH_REQUIRE(kind_ == Kind::CheckedSpec, "subject is not a model+spec pair");
-  return *static_cast<const CheckedSpec*>(ptr_);
-}
 const fts::FtsSpec& Subject::spec_model() const {
   MPH_REQUIRE(kind_ == Kind::SpecModel, "subject is not a symbolic system description");
   return *static_cast<const fts::FtsSpec*>(ptr_);
@@ -72,8 +65,6 @@ constexpr std::string_view kSpecCodes[] = {"MPH-S001", "MPH-S002", "MPH-S003", "
 constexpr std::string_view kNormalizeCodes[] = {"MPH-N001", "MPH-N002", "MPH-N003",
                                                 "MPH-N004"};
 constexpr std::string_view kSubsumeCodes[] = {"MPH-S011", "MPH-S012", "MPH-S013"};
-constexpr std::string_view kVacuityCodes[] = {"MPH-Y001", "MPH-Y002", "MPH-Y003", "MPH-Y005"};
-constexpr std::string_view kCoverageCodes[] = {"MPH-Y004", "MPH-Y005"};
 constexpr std::string_view kAbsintCodes[] = {"MPH-F010", "MPH-F011", "MPH-F012"};
 
 const Pass kPasses[] = {
@@ -122,20 +113,6 @@ const Pass kPasses[] = {
      [](const Subject& s, DiagnosticEngine& out, const AnalysisOptions& opts) {
        if (!opts.subsume.enabled) return;
        lint_subsume(s.spec(), out, opts.subsume);
-     }},
-    {"vacuity", "polarity-directed mutation vacuity of requirements that hold on the model",
-     Subject::Kind::CheckedSpec, kVacuityCodes,
-     [](const Subject& s, DiagnosticEngine& out, const AnalysisOptions& opts) {
-       if (!opts.vacuity.enabled) return;
-       const CheckedSpec& cs = s.checked_spec();
-       analyze_vacuity(*cs.system, *cs.spec, *cs.atoms, out, opts.vacuity);
-     }},
-    {"coverage", "transition mutation coverage: verdict sensitivity to transition removal",
-     Subject::Kind::CheckedSpec, kCoverageCodes,
-     [](const Subject& s, DiagnosticEngine& out, const AnalysisOptions& opts) {
-       if (!opts.coverage.enabled) return;
-       const CheckedSpec& cs = s.checked_spec();
-       analyze_coverage(*cs.system, *cs.spec, *cs.atoms, out, opts.coverage);
      }},
     {"absint", "interval abstract interpretation: invariants, dead transitions, wraps",
      Subject::Kind::SpecModel, kAbsintCodes,

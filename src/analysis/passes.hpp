@@ -12,13 +12,11 @@
 #include <vector>
 
 #include "src/analysis/absint.hpp"
-#include "src/analysis/coverage.hpp"
 #include "src/analysis/diagnostics.hpp"
 #include "src/analysis/fts_lint.hpp"
 #include "src/analysis/normalize_lint.hpp"
 #include "src/analysis/spec_lint.hpp"
 #include "src/analysis/subsume.hpp"
-#include "src/analysis/vacuity.hpp"
 #include "src/fts/fts.hpp"
 #include "src/lang/dfa.hpp"
 #include "src/ltl/ast.hpp"
@@ -31,32 +29,20 @@ struct AnalysisOptions {
   FtsLintOptions fts;
   SpecLintOptions spec;
   NormalizeLintOptions normalize;  // the `normalize` pass (MPH-N family)
-  SubsumeOptions subsume;    // the `subsume` pass (off by default; quadratic)
-  VacuityOptions vacuity;    // the `vacuity` pass (CheckedSpec subjects)
-  CoverageOptions coverage;  // the `coverage` pass (off by default; expensive)
-};
-
-/// A model + specification pair for the verdict-aware passes (vacuity,
-/// coverage): the requirements, the system they hold on, and the atom
-/// vocabulary binding them. Non-owning like Subject itself.
-struct CheckedSpec {
-  const fts::Fts* system = nullptr;
-  const std::vector<ltl::Formula>* spec = nullptr;
-  const fts::AtomMap* atoms = nullptr;
+  SubsumeOptions subsume;  // the `subsume` pass (off by default; quadratic)
 };
 
 /// Non-owning view of one analyzable object; the referenced IR must outlive
 /// the Subject.
 class Subject {
  public:
-  enum class Kind { DetOmega, Nba, Dfa, Fts, Spec, CheckedSpec, SpecModel };
+  enum class Kind { DetOmega, Nba, Dfa, Fts, Spec, SpecModel };
 
   static Subject of(const omega::DetOmega& m, std::string name);
   static Subject of(const omega::Nba& n, std::string name);
   static Subject of(const lang::Dfa& d, std::string name);
   static Subject of(const fts::Fts& f, std::string name);
   static Subject of(const std::vector<ltl::Formula>& spec, std::string name);
-  static Subject of(const CheckedSpec& cs, std::string name);
   /// A *symbolic* system description (guards/effects inspectable), the IR
   /// the interval abstract interpreter analyzes without exploration.
   static Subject of(const fts::FtsSpec& spec, std::string name);
@@ -68,7 +54,6 @@ class Subject {
   const lang::Dfa& dfa() const;
   const fts::Fts& fts() const;
   const std::vector<ltl::Formula>& spec() const;
-  const CheckedSpec& checked_spec() const;
   const fts::FtsSpec& spec_model() const;
 
  private:

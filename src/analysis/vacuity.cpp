@@ -67,7 +67,7 @@ const Formula* antecedent_of(const Formula& requirement) {
 /// Mirrors the checker's route(): is there any engine that can take this
 /// formula? (det(¬f); det(f) for a dispatchable safety formula; the
 /// future-only NBA tableau.) Mutants that fail this screen are skipped —
-/// feeding them to check_all would throw out of the whole batch.
+/// feeding them to the checker would throw out of the whole batch.
 bool checkable(const Formula& f, const lang::Alphabet& alphabet) {
   try {
     (void)ltl::compile(ltl::f_not(f), alphabet);
@@ -132,41 +132,37 @@ bool witness_satisfies(const Formula& requirement, const fts::Counterexample& ce
 
 }  // namespace
 
-std::optional<Budgeted<bool>> antecedent_exercised(const fts::Fts& system,
-                                                   const ltl::Formula& requirement,
-                                                   const fts::AtomMap& atoms,
-                                                   const Budget& budget) {
+std::optional<Budgeted<bool>> antecedent_exercised(fts::ModelContext& model,
+                                                   const ltl::Formula& requirement) {
   const Formula* p = antecedent_of(requirement);
   if (!p) return std::nullopt;
   for (const auto& name : p->atoms())
-    MPH_REQUIRE(atoms.contains(name), "antecedent atom not defined: " + name);
-  fts::ExploreResult ex = fts::explore(system, budget);
+    MPH_REQUIRE(model.atoms().contains(name), "antecedent atom not defined: " + name);
+  const fts::ExploreResult& ex = model.exploration();
   if (!is_complete(ex.outcome)) return Budgeted<bool>{std::nullopt, ex.outcome};
   fts::Valuation v;
   for (std::size_t n = 0; n < ex.graph.size(); ++n) {
     ex.graph.valuation_into(n, v);
-    if (eval_state(*p, system, atoms, v, ex.graph.last_taken(n)))
+    if (eval_state(*p, model.system(), model.atoms(), v, ex.graph.last_taken(n)))
       return Budgeted<bool>{true, Outcome::Complete};
   }
   return Budgeted<bool>{false, Outcome::Complete};
 }
 
-VacuityResult analyze_vacuity(const fts::Fts& system, const std::vector<ltl::Formula>& specs,
-                              const fts::AtomMap& atoms, DiagnosticEngine& out,
-                              const VacuityOptions& options) {
+VacuityResult analyze_vacuity(fts::ModelContext& model, const std::vector<ltl::Formula>& specs,
+                              DiagnosticEngine& out, const VacuityOptions& options) {
   VacuityResult result;
   result.requirements.resize(specs.size());
   if (specs.empty()) return result;
 
   fts::CheckOptions co = options.check;
   co.diagnostics = nullptr;  // only MPH-Y findings leave this analyzer
-  Budget budget = co.budget;
-  if (!budget.has_state_cap()) budget.with_state_cap(fts::kDefaultStateCap);
 
-  const auto originals = fts::check_all(system, specs, atoms, co);
+  const auto originals = fts::check(model, specs, co);
 
-  // Mutant batch: one check_all over every mutant of every requirement, so
-  // exploration / label caches / worker pool are shared across the lot.
+  // Mutant batch: one check over every mutant of every requirement, on the
+  // originals' graph, so label caches and the worker pool are shared across
+  // the lot.
   std::vector<Formula> batch;
   std::vector<std::pair<std::size_t, std::size_t>> owner;  // (requirement, mutant index)
 
@@ -195,7 +191,7 @@ VacuityResult analyze_vacuity(const fts::Fts& system, const std::vector<ltl::For
 
     // Fast path: a □(p→q) whose antecedent no reachable state satisfies is
     // vacuously true — equivalent to □(false→q) — with no mutation at all.
-    if (auto exercised = antecedent_exercised(system, specs[i], atoms, budget);
+    if (auto exercised = antecedent_exercised(model, specs[i]);
         exercised && exercised->complete() && !*exercised->value) {
       rv.verdict = RequirementVacuity::Verdict::Vacuous;
       rv.antecedent_failure = true;
@@ -254,7 +250,7 @@ VacuityResult analyze_vacuity(const fts::Fts& system, const std::vector<ltl::For
     }
   }
 
-  const auto mutant_results = fts::check_all(system, batch, atoms, co);
+  const auto mutant_results = fts::check(model, batch, co);
   for (std::size_t k = 0; k < batch.size(); ++k) {
     auto [i, j] = owner[k];
     MutantCheck& mc = result.requirements[i].mutants[j];
@@ -321,7 +317,7 @@ VacuityResult analyze_vacuity(const fts::Fts& system, const std::vector<ltl::For
     for (std::size_t k = 0; k < batch.size() && !rv.witness; ++k) {
       if (owner[k].first != i) continue;
       const auto& cex = mutant_results[k].counterexample;
-      if (!cex || !witness_satisfies(specs[i], *cex, system, atoms)) continue;
+      if (!cex || !witness_satisfies(specs[i], *cex, model.system(), model.atoms())) continue;
       rv.witness = *cex;
       const MutantCheck& mc = rv.mutants[owner[k].second];
       auto& d = out.emit(

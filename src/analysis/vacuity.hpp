@@ -9,13 +9,16 @@
 // satisfying the requirement but violating the mutant — is an *interesting
 // witness* (MPH-Y003), replayable like any counterexample.
 //
-// Cost model: all mutants of all requirements go through ONE fts::check_all
-// batch, so exploration, atom-label caches and the worker pool are paid once
-// per model; the checker's class-aware dispatch then routes safety mutants
-// to the closed-prefix scan and guarantee mutants through duality, keeping
-// most mutants off the ω-product path entirely. The □(p→q) antecedent shape
-// short-circuits without any mutation: one reachable-state labeling decides
-// whether p is ever exercised (MPH-Y002).
+// Cost model: the requirements, the □(p→q) antecedent labelings and the
+// mutants all run on the caller's fts::ModelContext, so the model is explored
+// at most once per analysis, and not at all when the caller's context was
+// explored before. All mutants of all requirements go through ONE fts::check
+// batch, so atom-label caches and the worker pool are shared across them;
+// the checker's class-aware dispatch then routes safety mutants to the
+// closed-prefix scan and guarantee mutants through duality, keeping most
+// mutants off the ω-product path entirely. The □(p→q) antecedent shape
+// short-circuits without any mutation: one pass over the context's reachable
+// states decides whether p is ever exercised (MPH-Y002).
 //
 // Everything honors mph::Budget: a budget-exhausted mutant makes the
 // requirement's vacuity verdict Unknown (MPH-Y005) — never a false
@@ -42,8 +45,6 @@ struct VacuityOptions {
   /// every mutant through the full ω-product instead, and the tab13 bench
   /// measures the difference.
   fts::CheckOptions check;
-  /// Used by run_passes: whether the registered `vacuity` pass runs.
-  bool enabled = true;
 };
 
 /// One strengthening mutant and how it fared.
@@ -100,21 +101,20 @@ struct VacuityResult {
 
 /// The MPH-Y002 fast path in isolation: for a □(p→q)-shaped requirement
 /// with a propositional (state-formula) antecedent p, decide whether any
-/// reachable state satisfies p — one exploration and a pointwise labeling,
-/// no mutation, no product. nullopt when the requirement is not of that
-/// shape; an engaged result carries value() == false exactly when the
-/// antecedent is never exercised. Differential fuzzing (oracle
-/// `vacuity-antecedent`) cross-checks this against the mutation path.
-std::optional<Budgeted<bool>> antecedent_exercised(const fts::Fts& system,
-                                                   const ltl::Formula& requirement,
-                                                   const fts::AtomMap& atoms,
-                                                   const Budget& budget);
+/// reachable state satisfies p — a pointwise labeling of the context's
+/// exploration (run now if the context has not explored yet), no mutation,
+/// no product. nullopt when the requirement is not of that shape; an engaged
+/// result carries value() == false exactly when the antecedent is never
+/// exercised, and no value when the exploration exhausted the context's
+/// budget. Differential fuzzing (oracle `vacuity-antecedent`) cross-checks
+/// this against the mutation path.
+std::optional<Budgeted<bool>> antecedent_exercised(fts::ModelContext& model,
+                                                   const ltl::Formula& requirement);
 
-/// Analyzes every requirement that holds on the system and reports
+/// Analyzes every requirement that holds on the context's model and reports
 /// MPH-Y001/Y002/Y003/Y005 through `out`. Requirements that fail or exhaust
 /// their budget come back as Violated / Unknown and are not mutated.
-VacuityResult analyze_vacuity(const fts::Fts& system, const std::vector<ltl::Formula>& specs,
-                              const fts::AtomMap& atoms, DiagnosticEngine& out,
-                              const VacuityOptions& options = {});
+VacuityResult analyze_vacuity(fts::ModelContext& model, const std::vector<ltl::Formula>& specs,
+                              DiagnosticEngine& out, const VacuityOptions& options = {});
 
 }  // namespace mph::analysis

@@ -539,6 +539,7 @@ struct LabelCache {
   lang::Alphabet alphabet;
   std::vector<lang::Symbol> labels;
   double seconds = 0.0;
+  std::size_t call = 0;  ///< the check() call on the context that labelled it
 };
 
 // ---------------------------------------------------------------------------
@@ -870,7 +871,45 @@ std::vector<std::string> validated_atoms(const ltl::Formula& spec, const AtomMap
   return atom_names;
 }
 
+/// The one place a budget without a state cap gets kDefaultStateCap.
+Budget capped(Budget budget) {
+  if (!budget.has_state_cap()) budget.with_state_cap(kDefaultStateCap);
+  return budget;
+}
+
 }  // namespace
+
+/// The shared phases of a context: its exploration, and once that is
+/// complete the fairness frame, per-node marks and label caches.
+struct ModelContext::Shared {
+  ExploreResult ex;
+  double explore_seconds = 0.0;
+  FairnessFrame fair;
+  std::vector<MarkSet> fair_marks;
+  std::map<std::vector<std::string>, LabelCache> labels;  // per atom vocabulary
+  std::size_t calls = 0;  ///< check() calls that reached the graph
+};
+
+ModelContext::ModelContext(const Fts& system, const AtomMap& atoms, Budget budget)
+    : system_(system), atoms_(atoms), budget_(capped(std::move(budget))) {}
+
+ModelContext::~ModelContext() = default;
+
+const ExploreResult& ModelContext::exploration() {
+  if (shared_) return shared_->ex;
+  auto shared = std::make_unique<Shared>();
+  const auto t_explore = Clock::now();
+  shared->ex = explore(system_, budget_);
+  shared->explore_seconds = elapsed(t_explore);
+  if (is_complete(shared->ex.outcome)) {
+    const StateGraph& sg = shared->ex.graph;
+    MPH_ASSERT(sg.size() < (std::uint64_t{1} << 32));  // product keys pack into 64 bits
+    shared->fair = fairness_frame(system_);
+    shared->fair_marks = fair_node_marks(sg, shared->fair);
+  }
+  shared_ = std::move(shared);
+  return shared_->ex;
+}
 
 CheckResult check(const Fts& system, const ltl::Formula& spec, const AtomMap& atoms,
                   const CheckOptions& options) {
@@ -879,8 +918,15 @@ CheckResult check(const Fts& system, const ltl::Formula& spec, const AtomMap& at
 
 std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::Formula>& specs,
                                    const AtomMap& atoms, const CheckOptions& options) {
+  ModelContext model(system, atoms, options.budget);
+  return check(model, specs, options);
+}
+
+std::vector<CheckResult> check(ModelContext& model, const std::vector<ltl::Formula>& specs,
+                               const CheckOptions& options) {
   std::vector<CheckResult> results(specs.size());
   if (specs.empty()) return results;
+  const AtomMap& atoms = model.atoms();
 
   // Exploration-free proofs first: any spec the static prover certifies is
   // done — stamped StaticProof/Complete with zero states — before a single
@@ -911,14 +957,11 @@ std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::For
     if (n_resolved == specs.size()) return results;
   }
 
-  Budget budget = options.budget;
-  if (!budget.has_state_cap()) budget.with_state_cap(kDefaultStateCap);
-
-  // Shared phases: one exploration, one fairness frame, one label cache per
-  // distinct atom vocabulary.
-  auto t_explore = Clock::now();
-  ExploreResult ex = explore(system, budget);
-  const double explore_seconds = elapsed(t_explore);
+  // Shared phases: one exploration, one fairness frame and one label cache
+  // per distinct atom vocabulary, each paid by the first call that needs it.
+  const bool explores_now = !model.explored();
+  const ExploreResult& ex = model.exploration();
+  const double explore_seconds = explores_now ? model.shared_->explore_seconds : 0.0;
   if (!is_complete(ex.outcome)) {
     // The shared exploration ran out of budget: every spec in the batch not
     // already proved statically gets the same unknown verdict, before any
@@ -942,23 +985,22 @@ std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::For
     }
     return results;
   }
+  ModelContext::Shared& shared = *model.shared_;
   const StateGraph& sg = ex.graph;
-  MPH_ASSERT(sg.size() < (std::uint64_t{1} << 32));  // product keys pack into 64 bits
-  FairnessFrame fair = fairness_frame(system);
-  std::vector<MarkSet> fair_marks = fair_node_marks(sg, fair);
+  const Budget budget = capped(options.budget);
+  const std::size_t call = ++shared.calls;
 
-  std::map<std::vector<std::string>, LabelCache> caches;
   std::vector<const LabelCache*> cache_of(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     if (resolved[i]) continue;
     auto atom_names = validated_atoms(specs[i], atoms);
-    auto it = caches.find(atom_names);
-    if (it == caches.end()) {
+    auto it = shared.labels.find(atom_names);
+    if (it == shared.labels.end()) {
       auto t_label = Clock::now();
       LabelCache cache{lang::Alphabet::of_props(atom_names),
-                       label_nodes(system, sg, atoms, atom_names), 0.0};
+                       label_nodes(model.system(), sg, atoms, atom_names), 0.0, call};
       cache.seconds = elapsed(t_label);
-      it = caches.emplace(std::move(atom_names), std::move(cache)).first;
+      it = shared.labels.emplace(std::move(atom_names), std::move(cache)).first;
     }
     cache_of[i] = &it->second;
   }
@@ -971,12 +1013,13 @@ std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::For
     const Route r = route(specs[i], cache.alphabet, budget, options);
     const double compile_seconds = elapsed(t_compile);
     const auto t_search = Clock::now();
-    SearchResult found = search(r, sg, cache.labels, fair, fair_marks, budget);
+    SearchResult found =
+        search(r, sg, cache.labels, shared.fair, shared.fair_marks, budget);
     const double search_seconds = elapsed(t_search);
     results[i] = verdict(sg, r, std::move(found), specs[i], engine);
     CheckStats& s = results[i].stats;
     s.explore_seconds = explore_seconds;
-    s.label_seconds = cache.seconds;
+    s.label_seconds = cache.call == call ? cache.seconds : 0.0;
     s.compile_seconds = compile_seconds;
     s.search_seconds = search_seconds;
   };

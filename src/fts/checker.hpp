@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -74,9 +75,10 @@ enum class ClassSource : std::uint8_t { None, Syntactic, Normalized };
 std::string_view to_string(ClassSource s);
 
 /// Engine telemetry for one check, surfaced by `mph-lint --check` and the
-/// tab11 bench. In a `check_all` batch the exploration and labelling phases
-/// are shared; their timings are reported identically on every result that
-/// used them.
+/// tab11 bench. The exploration and labelling phases are shared through the
+/// ModelContext: their timings are reported on every result of the check()
+/// call that ran them, and as 0 by later calls that reuse them, so each
+/// call's phases add up to its own wall time.
 struct CheckStats {
   std::size_t state_graph_nodes = 0;  ///< system states explored
   std::size_t automaton_states = 0;   ///< states of the compiled ¬spec automaton
@@ -106,8 +108,9 @@ struct CheckResult {
   CheckStats stats;
 };
 
-/// State cap applied to a check whose budget carries none: check_all (and
-/// the analyzers built on it) explore at most this many states by default.
+/// State cap applied to a budget that carries none: a ModelContext explores
+/// at most this many states, and each construction of a check at most this
+/// many, by default.
 inline constexpr std::size_t kDefaultStateCap = 200000;
 
 struct CheckOptions {
@@ -140,8 +143,8 @@ struct CheckOptions {
   /// becomes the compilation source, routing it to the shortcut engines.
   /// 0 disables normalization in the checker.
   std::size_t normalize_steps = 512;
-  /// Exploration-free proof hook, consulted per spec *before* the shared
-  /// exploration (skipped under `force_scc`).
+  /// Exploration-free proof hook, consulted per spec *before* the model
+  /// context explores (skipped under `force_scc`).
   /// Returning a result means "this spec is proved to hold" — the checker
   /// stamps it `CheckEngine::StaticProof` / Outcome::Complete with zero
   /// exploration and, when every spec in the batch resolves statically,
@@ -152,10 +155,49 @@ struct CheckOptions {
   analysis::DiagnosticEngine* diagnostics = nullptr;
 };
 
-/// Batch variant of `check`: explores the state graph once, shares atom-label
-/// caches between specs over the same vocabulary, and checks the (mutually
-/// independent) specs on a worker pool of `options.threads` threads.
-/// results[i] corresponds to specs[i].
+/// One model, explored once for every check against it (docs/CHECKER.md,
+/// "Model context"). The context explores lazily, on the first check that
+/// reaches the engines or the first exploration() call, under its own budget.
+/// It keeps the state graph, the exploration's outcome and seconds, the
+/// fairness frame with its per-node marks, and one atom-label cache per
+/// vocabulary. It refers to `system` and `atoms`, which must outlive it.
+/// Concurrent check() calls must not share a context; one call's worker pool
+/// is fine.
+class ModelContext {
+ public:
+  /// `budget` governs the exploration alone; without a state cap it is
+  /// capped at kDefaultStateCap.
+  ModelContext(const Fts& system, const AtomMap& atoms, Budget budget = {});
+  ~ModelContext();
+
+  const Fts& system() const { return system_; }
+  const AtomMap& atoms() const { return atoms_; }
+  bool explored() const { return shared_ != nullptr; }
+  /// The exploration, run on the first call and kept. Consult `outcome`
+  /// before using the graph.
+  const ExploreResult& exploration();
+
+ private:
+  friend std::vector<CheckResult> check(ModelContext&, const std::vector<ltl::Formula>&,
+                                        const CheckOptions&);
+  struct Shared;
+
+  const Fts& system_;
+  const AtomMap& atoms_;
+  Budget budget_;
+  std::unique_ptr<Shared> shared_;
+};
+
+/// Checks the (mutually independent) specs against the context's model on a
+/// worker pool of `options.threads` threads; results[i] corresponds to
+/// specs[i]. `options.budget` governs each spec's constructions, the
+/// context's budget the exploration. Specs over the same atom vocabulary
+/// share one label cache, across calls too.
+std::vector<CheckResult> check(ModelContext& model, const std::vector<ltl::Formula>& specs,
+                               const CheckOptions& options = {});
+
+/// check() over a fresh context whose exploration runs under
+/// `options.budget`.
 std::vector<CheckResult> check_all(const Fts& system, const std::vector<ltl::Formula>& specs,
                                    const AtomMap& atoms, const CheckOptions& options = {});
 

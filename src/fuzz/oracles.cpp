@@ -745,6 +745,20 @@ std::optional<std::string> replay_failure(const fts::Fts& sys, const fts::AtomMa
 
 std::string verdict_of(bool holds) { return holds ? "holds" : "violated"; }
 
+/// Whether two checks of one spec gave the same answer: verdict, outcome,
+/// counterexample, route and sizes (timings aside).
+bool same_answer(const fts::CheckResult& a, const fts::CheckResult& b) {
+  if (a.counterexample.has_value() != b.counterexample.has_value()) return false;
+  if (a.counterexample && (a.counterexample->prefix != b.counterexample->prefix ||
+                           a.counterexample->loop != b.counterexample->loop))
+    return false;
+  const fts::CheckStats &x = a.stats, &y = b.stats;
+  return a.holds == b.holds && a.outcome == b.outcome && x.engine == y.engine &&
+         x.class_source == y.class_source && x.nba_fallback == y.nba_fallback &&
+         x.state_graph_nodes == y.state_graph_nodes &&
+         x.automaton_states == y.automaton_states && x.product_states == y.product_states;
+}
+
 CheckOutcome check_fts_engines(const FuzzCase& c, const Budget& budget) {
   if (!c.system || c.formulas.empty()) return CheckOutcome::skip("needs a system and a spec");
   const fts::Fts sys = c.system->build();
@@ -757,13 +771,19 @@ CheckOutcome check_fts_engines(const FuzzCase& c, const Budget& budget) {
   fts::CheckOptions scc_options = options;
   scc_options.force_scc = true;
   const auto scc = fts::check(sys, spec, atoms, scc_options);
+  // Both routes again, through one shared context: the second call reuses
+  // the first call's exploration, fairness marks and label cache.
+  fts::ModelContext context(sys, atoms, options.budget);
+  const auto shared = fts::check(context, {spec}, options)[0];
+  const auto shared_scc = fts::check(context, {spec}, scc_options)[0];
   std::optional<ReferenceGraph> graph;
   if (auto failed = explore_against_reference(sys, options.budget, graph)) return *failed;
   const auto reference = reference_holds(sys, graph, spec, atoms, options.budget);
   // Outcomes come first: under a deadline one side can complete while the
   // other runs out, so differing verdicts with a non-Complete outcome are
   // budget exhaustion, not a discrepancy.
-  const Outcome agg = worst(worst(batch.outcome, single.outcome), scc.outcome);
+  Outcome agg = worst(worst(batch.outcome, single.outcome), scc.outcome);
+  agg = worst(agg, worst(shared.outcome, shared_scc.outcome));
   if (!is_complete(agg) || !reference)
     return CheckOutcome::exhausted(
         "engine budget exhausted (" +
@@ -778,6 +798,12 @@ CheckOutcome check_fts_engines(const FuzzCase& c, const Budget& budget) {
                               verdict_of(*reference) + ")");
   if (single.holds != batch.holds)
     return CheckOutcome::fail("check and check_all disagree on '" + c.formulas[0] + "'");
+  if (!same_answer(shared, batch))
+    return CheckOutcome::fail("a shared model context and a fresh check_all disagree on '" +
+                              c.formulas[0] + "' (default route)");
+  if (!same_answer(shared_scc, scc))
+    return CheckOutcome::fail("a shared model context and a fresh check_all disagree on '" +
+                              c.formulas[0] + "' (force_scc, after the default route)");
   for (const auto* r : {&batch, &single, &scc})
     if (auto why = replay_failure(sys, atoms, spec, *r)) return CheckOutcome::fail(*why);
   return CheckOutcome::pass();
@@ -831,8 +857,10 @@ CheckOutcome check_vacuity_antecedent(const FuzzCase& c, const Budget& budget) {
   fts::CheckOptions base;
   base.budget = oracle_budget(budget);
 
-  // Path 1: the fast path itself — one exploration, pointwise labeling.
-  const auto fast = analysis::antecedent_exercised(sys, f, atoms, budget);
+  // Path 1: the fast path itself — one exploration, pointwise labeling. Its
+  // context is its own, so it and the engines below share no graph.
+  fts::ModelContext fast_context(sys, atoms, budget);
+  const auto fast = analysis::antecedent_exercised(fast_context, f);
   if (!fast) return CheckOutcome::skip("shrunk out of the □(p→q) shape");
   if (!fast->complete())
     return CheckOutcome::exhausted("exploration budget exhausted (" +
@@ -871,7 +899,8 @@ CheckOutcome check_vacuity_antecedent(const FuzzCase& c, const Budget& budget) {
     analysis::DiagnosticEngine diag;
     analysis::VacuityOptions vopts;
     vopts.check = base;
-    const auto vr = analysis::analyze_vacuity(sys, {f}, atoms, diag, vopts);
+    fts::ModelContext context(sys, atoms, base.budget);
+    const auto vr = analysis::analyze_vacuity(context, {f}, diag, vopts);
     const auto& rv = vr.requirements[0];
     if (!is_complete(rv.original.outcome))
       return CheckOutcome::exhausted("vacuity check budget exhausted (" +

@@ -704,8 +704,9 @@ Json Server::handle_vacuity(const Json& request) {
 
   analysis::VacuityOptions vopts;
   vopts.check = check_options(request, budget);
+  fts::ModelContext context(model.system, model.atoms, vopts.check.budget);
   const analysis::VacuityResult vr =
-      analysis::analyze_vacuity(model.system, requirements, model.atoms, diagnostics, vopts);
+      analysis::analyze_vacuity(context, requirements, diagnostics, vopts);
 
   for (std::size_t i = 0; i < vr.requirements.size(); ++i) {
     const auto& rv = vr.requirements[i];

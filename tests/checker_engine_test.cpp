@@ -235,6 +235,76 @@ TEST(CheckAll, EmptyBatchAndErrors) {
   }
 }
 
+/// Field-for-field agreement of two answers for one spec, timings aside.
+void expect_same_answer(const CheckResult& a, const CheckResult& b, const std::string& what) {
+  EXPECT_EQ(a.holds, b.holds) << what;
+  EXPECT_EQ(a.outcome, b.outcome) << what;
+  ASSERT_EQ(a.counterexample.has_value(), b.counterexample.has_value()) << what;
+  if (a.counterexample) {
+    EXPECT_EQ(a.counterexample->prefix, b.counterexample->prefix) << what;
+    EXPECT_EQ(a.counterexample->loop, b.counterexample->loop) << what;
+  }
+  EXPECT_EQ(a.stats.engine, b.stats.engine) << what;
+  EXPECT_EQ(a.stats.class_source, b.stats.class_source) << what;
+  EXPECT_EQ(a.stats.nba_fallback, b.stats.nba_fallback) << what;
+  EXPECT_EQ(a.stats.state_graph_nodes, b.stats.state_graph_nodes) << what;
+  EXPECT_EQ(a.stats.automaton_states, b.stats.automaton_states) << what;
+  EXPECT_EQ(a.stats.product_states, b.stats.product_states) << what;
+}
+
+TEST(ModelContext, ReuseMatchesFreshBatches) {
+  Program prog = programs::peterson();
+  // A and B overlap in one vocabulary ({c1, t1}) and differ in the rest.
+  const std::vector<ltl::Formula> a = mixed_specs();
+  const std::vector<ltl::Formula> b = {parse_formula("G(t1 -> F c1)"), parse_formula("G !c2"),
+                                       parse_formula("F(t2 & c2)")};
+  for (unsigned threads : {1u, 4u}) {
+    CheckOptions options;
+    options.threads = threads;
+    ModelContext model(prog.system, prog.atoms, options.budget);
+    EXPECT_FALSE(model.explored());
+    const auto reused_a = check(model, a, options);
+    EXPECT_TRUE(model.explored());
+    const auto reused_b = check(model, b, options);
+    const auto fresh_a = check_all(prog.system, a, prog.atoms, options);
+    const auto fresh_b = check_all(prog.system, b, prog.atoms, options);
+    for (std::size_t i = 0; i < a.size(); ++i)
+      expect_same_answer(reused_a[i], fresh_a[i], a[i].to_string());
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      expect_same_answer(reused_b[i], fresh_b[i], b[i].to_string());
+      // The second call explores nothing, and labels only new vocabularies.
+      EXPECT_EQ(reused_b[i].stats.explore_seconds, 0.0) << b[i].to_string();
+    }
+    EXPECT_EQ(reused_b[0].stats.label_seconds, 0.0);  // {c1, t1} was labelled for A
+  }
+}
+
+TEST(ModelContext, StaticProverBatchNeverExplores) {
+  Program prog = programs::peterson();
+  const ltl::Formula proved = parse_formula("G !(c1 & c2)");  // holds on peterson
+  CheckOptions options;
+  options.static_prover = [&](const ltl::Formula& f) -> std::optional<CheckResult> {
+    if (f.to_string() != proved.to_string()) return std::nullopt;
+    CheckResult r;
+    r.holds = true;
+    return r;
+  };
+  ModelContext model(prog.system, prog.atoms);
+  const auto settled = check(model, {proved}, options);
+  EXPECT_EQ(settled[0].stats.engine, CheckEngine::StaticProof);
+  EXPECT_FALSE(model.explored());
+
+  const auto explored = check(model, {parse_formula("G(t1 -> F c1)")}, options);
+  EXPECT_TRUE(model.explored());
+  EXPECT_NE(explored[0].stats.engine, CheckEngine::StaticProof);
+  EXPECT_GT(explored[0].stats.state_graph_nodes, 0u);
+  EXPECT_GT(explored[0].stats.explore_seconds, 0.0);  // this call explored
+  // Once explored, the context never explores again.
+  const auto again = check(model, {parse_formula("G !c1")}, options);
+  EXPECT_EQ(again[0].stats.explore_seconds, 0.0);
+  EXPECT_EQ(again[0].stats.state_graph_nodes, explored[0].stats.state_graph_nodes);
+}
+
 TEST(Budgets, ZeroStateBudgetReturnsImmediately) {
   Program prog = programs::peterson();
   CheckOptions options;

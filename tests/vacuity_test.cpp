@@ -122,15 +122,15 @@ TEST(PolarityWalker, StrengtheningsFollowPolarity) {
 TEST(AntecedentFastPath, UnreachableVsExercised) {
   const ltl::Formula req = parse_formula("G(c1 -> O t1)");
   const auto mutex = fts::programs::trivial_mutex();
-  const auto unreachable =
-      analysis::antecedent_exercised(mutex.system, req, mutex.atoms, Budget{});
+  fts::ModelContext mutex_model(mutex.system, mutex.atoms);
+  const auto unreachable = analysis::antecedent_exercised(mutex_model, req);
   ASSERT_TRUE(unreachable.has_value());
   ASSERT_TRUE(unreachable->complete());
   EXPECT_FALSE(*unreachable->value);  // trivial-mutex never reaches critical
 
   const auto peterson = fts::programs::peterson();
-  const auto exercised =
-      analysis::antecedent_exercised(peterson.system, req, peterson.atoms, Budget{});
+  fts::ModelContext peterson_model(peterson.system, peterson.atoms);
+  const auto exercised = analysis::antecedent_exercised(peterson_model, req);
   ASSERT_TRUE(exercised.has_value());
   ASSERT_TRUE(exercised->complete());
   EXPECT_TRUE(*exercised->value);
@@ -138,18 +138,18 @@ TEST(AntecedentFastPath, UnreachableVsExercised) {
 
 TEST(AntecedentFastPath, OnlyImplicationUnderAlwaysQualifies) {
   const auto prog = fts::programs::peterson();
-  EXPECT_FALSE(analysis::antecedent_exercised(prog.system, parse_formula("F c1"),
-                                              prog.atoms, Budget{}));
+  fts::ModelContext model(prog.system, prog.atoms);
+  EXPECT_FALSE(analysis::antecedent_exercised(model, parse_formula("F c1")));
   // A temporal antecedent is outside the fast path's fragment too.
-  EXPECT_FALSE(analysis::antecedent_exercised(prog.system, parse_formula("G(F t1 -> c1)"),
-                                              prog.atoms, Budget{}));
+  EXPECT_FALSE(analysis::antecedent_exercised(model, parse_formula("G(F t1 -> c1)")));
+  EXPECT_FALSE(model.explored());  // neither shape needed the graph
 }
 
 TEST(Vacuity, UnreachableAntecedentFiresY002WithoutMutation) {
   const auto prog = fts::programs::trivial_mutex();
+  fts::ModelContext model(prog.system, prog.atoms);
   analysis::DiagnosticEngine diag;
-  const auto vr = analysis::analyze_vacuity(prog.system, {parse_formula("G(c1 -> O t1)")},
-                                            prog.atoms, diag);
+  const auto vr = analysis::analyze_vacuity(model, {parse_formula("G(c1 -> O t1)")}, diag);
   const auto& rv = vr.requirements[0];
   EXPECT_EQ(rv.verdict, RequirementVacuity::Verdict::Vacuous);
   EXPECT_TRUE(rv.antecedent_failure);
@@ -160,9 +160,9 @@ TEST(Vacuity, UnreachableAntecedentFiresY002WithoutMutation) {
 
 TEST(Vacuity, SameSpecIsNonVacuousWhereTheAntecedentIsExercised) {
   const auto prog = fts::programs::peterson();
+  fts::ModelContext model(prog.system, prog.atoms);
   analysis::DiagnosticEngine diag;
-  const auto vr = analysis::analyze_vacuity(prog.system, {parse_formula("G(c1 -> O t1)")},
-                                            prog.atoms, diag);
+  const auto vr = analysis::analyze_vacuity(model, {parse_formula("G(c1 -> O t1)")}, diag);
   const auto& rv = vr.requirements[0];
   EXPECT_TRUE(rv.original.holds);
   EXPECT_FALSE(rv.antecedent_failure);
@@ -172,9 +172,9 @@ TEST(Vacuity, SameSpecIsNonVacuousWhereTheAntecedentIsExercised) {
 
 TEST(Vacuity, VacuousPassNamesTheWitnessingMutation) {
   const auto prog = fts::programs::trivial_mutex();
+  fts::ModelContext model(prog.system, prog.atoms);
   analysis::DiagnosticEngine diag;
-  const auto vr = analysis::analyze_vacuity(prog.system, {parse_formula("G !(c1 & c2)")},
-                                            prog.atoms, diag);
+  const auto vr = analysis::analyze_vacuity(model, {parse_formula("G !(c1 & c2)")}, diag);
   EXPECT_EQ(vr.requirements[0].verdict, RequirementVacuity::Verdict::Vacuous);
   ASSERT_TRUE(diag.has_code("MPH-Y001"));
   bool named = false;
@@ -187,8 +187,9 @@ TEST(Vacuity, VacuousPassNamesTheWitnessingMutation) {
 TEST(Vacuity, InterestingWitnessReplaysUnderTheLassoEvaluator) {
   const auto prog = fts::programs::peterson();
   const ltl::Formula req = parse_formula("G(t1 -> F c1)");
+  fts::ModelContext model(prog.system, prog.atoms);
   analysis::DiagnosticEngine diag;
-  const auto vr = analysis::analyze_vacuity(prog.system, {req}, prog.atoms, diag);
+  const auto vr = analysis::analyze_vacuity(model, {req}, diag);
   const auto& rv = vr.requirements[0];
   EXPECT_EQ(rv.verdict, RequirementVacuity::Verdict::NonVacuous);
   EXPECT_TRUE(diag.has_code("MPH-Y003"));
@@ -214,9 +215,10 @@ TEST(Vacuity, BudgetExhaustionIsUnknownNeverNonVacuous) {
   const auto prog = fts::programs::peterson();
   analysis::VacuityOptions opts;
   opts.check.budget.with_state_cap(3);  // below peterson's 15 reachable states
+  fts::ModelContext model(prog.system, prog.atoms, opts.check.budget);
   analysis::DiagnosticEngine diag;
-  const auto vr = analysis::analyze_vacuity(prog.system, {parse_formula("G(t1 -> F c1)")},
-                                            prog.atoms, diag, opts);
+  const auto vr =
+      analysis::analyze_vacuity(model, {parse_formula("G(t1 -> F c1)")}, diag, opts);
   EXPECT_EQ(vr.requirements[0].verdict, RequirementVacuity::Verdict::Unknown);
   EXPECT_TRUE(diag.has_code("MPH-Y005"));
   EXPECT_FALSE(diag.has_code("MPH-Y003"));
@@ -229,9 +231,12 @@ TEST(Dispatch, StaticProverMutantsAreTallied) {
   const fts::FtsSpec spec = fts::symbolic_dining(2);
   analysis::VacuityOptions opts;
   opts.check.static_prover = analysis::make_static_prover(spec);
+  const fts::Fts system = spec.build();
+  const fts::AtomMap atoms = spec.atoms();
+  fts::ModelContext model(system, atoms);
   analysis::DiagnosticEngine diag;
-  const auto vr = analysis::analyze_vacuity(spec.build(), {parse_formula("G (alarmlo | pc0hi)")},
-                                            spec.atoms(), diag, opts);
+  const auto vr =
+      analysis::analyze_vacuity(model, {parse_formula("G (alarmlo | pc0hi)")}, diag, opts);
   const analysis::VacuityStats& st = vr.stats;
   EXPECT_GE(st.static_proof, 1u);
   EXPECT_EQ(st.safety_prefix + st.guarantee_dual + st.scc + st.static_proof + st.constant +
@@ -243,9 +248,9 @@ TEST(Dispatch, SafetyMutantsStayOffTheOmegaProduct) {
   const auto prog = fts::programs::trivial_mutex();
   analysis::DiagnosticEngine diag;
   analysis::VacuityOptions dispatched;  // mutants take the class-aware route
+  fts::ModelContext model(prog.system, prog.atoms);
   const auto with =
-      analysis::analyze_vacuity(prog.system, {parse_formula("G !(c1 & c2)")}, prog.atoms,
-                                diag, dispatched);
+      analysis::analyze_vacuity(model, {parse_formula("G !(c1 & c2)")}, diag, dispatched);
   // Mutating either atom keeps a syntactically-safety formula: both routed
   // through the closed-prefix scan. The whole-formula / conjunction mutants
   // are constant and never touch an engine.
@@ -257,8 +262,7 @@ TEST(Dispatch, SafetyMutantsStayOffTheOmegaProduct) {
   full.check.force_scc = true;
   analysis::DiagnosticEngine diag2;
   const auto without =
-      analysis::analyze_vacuity(prog.system, {parse_formula("G !(c1 & c2)")}, prog.atoms,
-                                diag2, full);
+      analysis::analyze_vacuity(model, {parse_formula("G !(c1 & c2)")}, diag2, full);
   EXPECT_EQ(without.stats.safety_prefix, 0u);
   EXPECT_EQ(without.stats.scc, 2u);
   // Same verdicts either way.
@@ -284,11 +288,64 @@ TEST(Dispatch, GuaranteeSpecsTakeTheDualEngine) {
   EXPECT_EQ(fast.holds, slow.holds);
 }
 
+TEST(ModelContext, AnalyzersOnAnExploredContextMatchAFreshOne) {
+  const auto prog = fts::programs::peterson();
+  const std::vector<ltl::Formula> reqs = {parse_formula("G !(c1 & c2)"),
+                                          parse_formula("G(t1 -> F c1)"),
+                                          parse_formula("G(c1 -> O t1)")};
+  fts::ModelContext explored(prog.system, prog.atoms);
+  fts::check(explored, {parse_formula("G F c2")});  // explores and labels {c2}
+  ASSERT_TRUE(explored.explored());
+
+  auto vacuity_of = [&](fts::ModelContext& model) {
+    analysis::DiagnosticEngine diag;
+    return std::make_pair(analysis::analyze_vacuity(model, reqs, diag), diag.to_json());
+  };
+  fts::ModelContext fresh_model(prog.system, prog.atoms);
+  const auto [fresh, fresh_diag] = vacuity_of(fresh_model);
+  const auto [reused, reused_diag] = vacuity_of(explored);
+  EXPECT_EQ(reused_diag, fresh_diag);
+  ASSERT_EQ(reused.requirements.size(), fresh.requirements.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const auto &r = reused.requirements[i], &f = fresh.requirements[i];
+    EXPECT_EQ(r.verdict, f.verdict) << r.text;
+    EXPECT_EQ(r.original.holds, f.original.holds) << r.text;
+    EXPECT_EQ(r.antecedent_failure, f.antecedent_failure) << r.text;
+    ASSERT_EQ(r.mutants.size(), f.mutants.size()) << r.text;
+    for (std::size_t j = 0; j < r.mutants.size(); ++j) {
+      EXPECT_EQ(r.mutants[j].engine, f.mutants[j].engine) << r.mutants[j].text;
+      EXPECT_EQ(r.mutants[j].holds, f.mutants[j].holds) << r.mutants[j].text;
+    }
+    ASSERT_EQ(r.witness.has_value(), f.witness.has_value()) << r.text;
+    if (r.witness) {
+      EXPECT_EQ(r.witness->loop, f.witness->loop) << r.text;
+    }
+  }
+  EXPECT_EQ(reused.stats.mutants_checked, fresh.stats.mutants_checked);
+
+  auto coverage_of = [&](fts::ModelContext& model) {
+    analysis::DiagnosticEngine diag;
+    return std::make_pair(analysis::analyze_coverage(model, reqs, diag), diag.to_json());
+  };
+  fts::ModelContext fresh_cover_model(prog.system, prog.atoms);
+  const auto [fresh_cover, fresh_cover_diag] = coverage_of(fresh_cover_model);
+  const auto [reused_cover, reused_cover_diag] = coverage_of(explored);
+  EXPECT_EQ(reused_cover_diag, fresh_cover_diag);
+  EXPECT_EQ(reused_cover.reachable, fresh_cover.reachable);
+  EXPECT_EQ(reused_cover.covered, fresh_cover.covered);
+  EXPECT_EQ(reused_cover.outcome, fresh_cover.outcome);
+  ASSERT_EQ(reused_cover.transitions.size(), fresh_cover.transitions.size());
+  for (std::size_t t = 0; t < fresh_cover.transitions.size(); ++t) {
+    EXPECT_EQ(reused_cover.transitions[t].reachable, fresh_cover.transitions[t].reachable);
+    EXPECT_EQ(reused_cover.transitions[t].covered, fresh_cover.transitions[t].covered);
+  }
+}
+
 TEST(Coverage, VacuousSpecCoversNoTransition) {
   const auto prog = fts::programs::trivial_mutex();
+  fts::ModelContext model(prog.system, prog.atoms);
   analysis::DiagnosticEngine diag;
-  const auto cr = analysis::analyze_coverage(prog.system, {parse_formula("G !(c1 & c2)")},
-                                             prog.atoms, diag);
+  const auto cr = analysis::analyze_coverage(model, {parse_formula("G !(c1 & c2)")}, diag);
   EXPECT_EQ(cr.reachable, 2u);  // try1, try2; the enter/exit family is dead
   EXPECT_EQ(cr.covered, 0u);
   EXPECT_EQ(cr.percent_covered, 0.0);
@@ -297,9 +354,9 @@ TEST(Coverage, VacuousSpecCoversNoTransition) {
 
 TEST(Coverage, LivenessSpecCoversTheTransitionsItNeeds) {
   const auto prog = fts::programs::peterson();
+  fts::ModelContext model(prog.system, prog.atoms);
   analysis::DiagnosticEngine diag;
-  const auto cr = analysis::analyze_coverage(prog.system, {parse_formula("G(t1 -> F c1)")},
-                                             prog.atoms, diag);
+  const auto cr = analysis::analyze_coverage(model, {parse_formula("G(t1 -> F c1)")}, diag);
   EXPECT_TRUE(is_complete(cr.outcome));
   EXPECT_GT(cr.covered, 0u);
   EXPECT_GT(cr.percent_covered, 0.0);
@@ -309,9 +366,10 @@ TEST(Coverage, BudgetExhaustionAbortsWithY005) {
   const auto prog = fts::programs::peterson();
   analysis::CoverageOptions opts;
   opts.check.budget.with_state_cap(3);
+  fts::ModelContext model(prog.system, prog.atoms, opts.check.budget);
   analysis::DiagnosticEngine diag;
-  const auto cr = analysis::analyze_coverage(prog.system, {parse_formula("G(t1 -> F c1)")},
-                                             prog.atoms, diag, opts);
+  const auto cr =
+      analysis::analyze_coverage(model, {parse_formula("G(t1 -> F c1)")}, diag, opts);
   EXPECT_FALSE(is_complete(cr.outcome));
   EXPECT_TRUE(diag.has_code("MPH-Y005"));
   EXPECT_FALSE(diag.has_code("MPH-Y004"));  // nothing may be called uncovered

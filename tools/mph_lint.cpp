@@ -50,7 +50,10 @@ int usage(std::ostream& out, int code) {
          "  --budget-states N\n"
          "                  state cap per --check construction (default 200000); an\n"
          "                  exhausted check reports outcome budget-states (MPH-V004)\n"
-         "  --budget-ms N   wall-clock budget for the whole --check batch in ms\n"
+         "  --budget-ms N   wall-clock budget in ms for the --check batch, and one more\n"
+         "                  for --vacuity and --coverage together; the model is\n"
+         "                  explored once, inside the first of these deadlines, and\n"
+         "                  the later passes reuse the exploration\n"
          "  --vacuity       analyze why requirements that hold do hold: polarity-directed\n"
          "                  mutation vacuity against the --model (MPH-Y001/Y002/Y003);\n"
          "                  requirements come from --check, --spec and positional formulas\n"
@@ -354,17 +357,27 @@ int main(int argc, char** argv) {
                       "\", " + analysis::to_json(ar).substr(1);
       }
 
-      if (!check_formulas.empty()) {
-        std::vector<ltl::Formula> specs;
-        for (const auto& text : check_formulas) specs.push_back(ltl::parse_formula(text));
+      // One context per model: --check, --vacuity and --coverage share its
+      // exploration. Each pass gets a fresh budget; the context keeps the
+      // budget of the first pass that asks for it.
+      std::optional<fts::ModelContext> context;
+      auto pass_options = [&] {
         fts::CheckOptions copts;
         copts.threads = check_threads;
-        copts.diagnostics = &engine;
-        if (sym) copts.static_prover = analysis::make_static_prover(*sym);
         if (budget_states > 0) copts.budget.with_state_cap(budget_states);
         if (budget_ms > 0)
           copts.budget.with_deadline_after(std::chrono::milliseconds(budget_ms));
-        auto results = fts::check_all(program.system, specs, program.atoms, copts);
+        if (!context) context.emplace(program.system, program.atoms, copts.budget);
+        return copts;
+      };
+
+      if (!check_formulas.empty()) {
+        std::vector<ltl::Formula> specs;
+        for (const auto& text : check_formulas) specs.push_back(ltl::parse_formula(text));
+        fts::CheckOptions copts = pass_options();
+        copts.diagnostics = &engine;
+        if (sym) copts.static_prover = analysis::make_static_prover(*sym);
+        auto results = fts::check(*context, specs, copts);
         for (const auto& r : results)
           if (!is_complete(r.outcome)) unknown_seen = true;
         if (!json && !quiet) {
@@ -406,17 +419,12 @@ int main(int argc, char** argv) {
         std::vector<ltl::Formula> reqs;
         for (const auto& text : req_texts) reqs.push_back(ltl::parse_formula(text));
 
-        fts::CheckOptions copts;
-        copts.threads = check_threads;
-        if (budget_states > 0) copts.budget.with_state_cap(budget_states);
-        if (budget_ms > 0)
-          copts.budget.with_deadline_after(std::chrono::milliseconds(budget_ms));
+        const fts::CheckOptions copts = pass_options();
 
         if (vacuity) {
           analysis::VacuityOptions vopts;
           vopts.check = copts;
-          const auto vr =
-              analysis::analyze_vacuity(program.system, reqs, program.atoms, engine, vopts);
+          const auto vr = analysis::analyze_vacuity(*context, reqs, engine, vopts);
           for (const auto& rv : vr.requirements)
             if (rv.verdict == analysis::RequirementVacuity::Verdict::Unknown)
               unknown_seen = true;
@@ -503,8 +511,7 @@ int main(int argc, char** argv) {
         if (coverage) {
           analysis::CoverageOptions kopts;
           kopts.check = copts;
-          const auto cr =
-              analysis::analyze_coverage(program.system, reqs, program.atoms, engine, kopts);
+          const auto cr = analysis::analyze_coverage(*context, reqs, engine, kopts);
           if (!is_complete(cr.outcome) || cr.unknown > 0) unknown_seen = true;
           std::ostringstream pct;
           pct.precision(1);
