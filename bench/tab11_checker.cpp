@@ -8,7 +8,10 @@
 //      violation under the independent lasso evaluator;
 //   3. batching: `check_all` (one exploration, shared label caches) is
 //      timed against repeated `check` on the semaphore mutex family, with
-//      and without worker threads.
+//      and without worker threads;
+//   4. the Fin close: a response spec that holds on dining-8, whose ¬spec is
+//      co-Büchi, so every cyclic product SCC goes through the good-loop
+//      search; product states, search seconds and states/s.
 // Results land in BENCH_checker.json (schema validated by
 // scripts/validate_bench_checker.py; `ctest -L bench-smoke`).
 //
@@ -139,6 +142,29 @@ std::vector<EarlyExitRow> run_early_exit() {
   return rows;
 }
 
+struct FinCloseRow {
+  std::string model, spec;
+  fts::CheckResult result;
+  double search_seconds = 0;
+};
+
+/// 4. The SCC engine under Fin acceptance on a spec that holds: the whole
+/// product is built and each cyclic SCC is closed by the good-loop search.
+FinCloseRow run_fin_close(bool quick) {
+  FinCloseRow row{"dining-8", "G (eat1 -> F !eat1)", {}, 1e300};
+  Program prog = fts::programs::dining_philosophers(8);
+  const auto spec = ltl::parse_formula(row.spec);
+  for (int r = 0; r < (quick ? 1 : 5); ++r) {
+    row.result = fts::check(prog.system, spec, prog.atoms);
+    row.search_seconds = std::min(row.search_seconds, row.result.stats.search_seconds);
+  }
+  const auto& s = row.result.stats;
+  BENCH_CHECK(row.result.holds, "the Fin-close spec holds on dining-8");
+  BENCH_CHECK(s.engine == fts::CheckEngine::Scc, "the Fin-close spec takes the SCC search");
+  BENCH_CHECK(s.product_states <= s.product_bound, "Fin-close product within its bound");
+  return row;
+}
+
 struct Timing {
   std::string model;
   std::size_t n_specs = 0;
@@ -190,7 +216,8 @@ Timing run_timing(bool quick) {
 }
 
 void write_json(const std::string& path, bool quick, const std::vector<MatrixRow>& matrix,
-                const std::vector<EarlyExitRow>& early, const Timing& t) {
+                const std::vector<EarlyExitRow>& early, const FinCloseRow& fin,
+                const Timing& t) {
   std::ofstream out(path);
   BENCH_CHECK(bool(out), ("cannot open " + path).c_str());
   out << "{\n  \"experiment\": \"tab11_checker\",\n  \"quick\": " << json_bool(quick)
@@ -218,7 +245,16 @@ void write_json(const std::string& path, bool quick, const std::vector<MatrixRow
         << ", \"replay_violates\": " << json_bool(r.replayed) << "}"
         << (i + 1 < early.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"timing\": {\n"
+  const auto& fs = fin.result.stats;
+  out << "  ],\n  \"fin_close\": {\"model\": \"" << analysis::json_escape(fin.model)
+      << "\", \"spec\": \"" << analysis::json_escape(fin.spec)
+      << "\", \"holds\": " << json_bool(fin.result.holds) << ", \"engine\": \""
+      << fts::to_string(fs.engine) << "\", \"nba_fallback\": " << json_bool(fs.nba_fallback)
+      << ", \"product_states\": " << fs.product_states
+      << ", \"product_bound\": " << fs.product_bound
+      << ", \"search_seconds\": " << fin.search_seconds << ", \"states_per_s\": "
+      << static_cast<double>(fs.product_states) / std::max(fin.search_seconds, 1e-12)
+      << "},\n  \"timing\": {\n"
       << "    \"model\": \"" << analysis::json_escape(t.model) << "\",\n"
       << "    \"specs\": " << t.n_specs << ",\n"
       << "    \"repeats\": " << t.repeats << ",\n"
@@ -283,13 +319,16 @@ int main(int argc, char** argv) {
 
   auto matrix = run_matrix();
   auto early = run_early_exit();
+  FinCloseRow fin = run_fin_close(quick);
   Timing t = run_timing(quick);
-  write_json(out_path, quick, matrix, early, t);
+  write_json(out_path, quick, matrix, early, fin, t);
   std::printf(
       "T11: matrix reproduced via check_all; early exit confirmed on %zu models;\n"
+      "     Fin close on %s: %zu product states in %.4fs;\n"
       "     repeated %.4fs vs batch %.4fs vs batch×%u %.4fs over %zu specs -> %s\n",
-      early.size(), t.repeated_seconds, t.batch1_seconds, t.threads, t.batchn_seconds,
-      t.n_specs, out_path.c_str());
+      early.size(), fin.model.c_str(), fin.result.stats.product_states, fin.search_seconds,
+      t.repeated_seconds, t.batch1_seconds, t.threads, t.batchn_seconds, t.n_specs,
+      out_path.c_str());
 
   if (quick) return 0;
   int rest_argc = static_cast<int>(rest.size());

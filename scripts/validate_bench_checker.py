@@ -35,7 +35,7 @@ def check_row(row, where, extra_keys=()):
         keys[key] = extra_type
     for key, ty in keys.items():
         require(key in row, f"{where}: missing key '{key}'")
-        require(isinstance(row[key], ty), f"{where}: '{key}' is not {ty.__name__}")
+        require(isinstance(row[key], ty), f"{where}: '{key}' has the wrong type")
     require(row["engine"] in ENGINES, f"{where}: unknown engine {row['engine']!r}")
     require(row["product_states"] >= 1, f"{where}: empty product")
     require(
@@ -70,6 +70,15 @@ def main():
         )
         require(row["replay_violates"], f"{where}: counterexample did not replay")
 
+    fin = data.get("fin_close")
+    require(isinstance(fin, dict), "'fin_close' missing")
+    check_row(fin, "fin_close", extra_keys=[
+        ("holds", bool), ("search_seconds", (int, float)), ("states_per_s", (int, float))])
+    require(fin["holds"], "fin_close: the spec does not hold")
+    require(fin["engine"] == "SCC", "fin_close: not decided by the SCC search")
+    require(fin["search_seconds"] >= 0, "fin_close: negative search time")
+    require(fin["states_per_s"] > 0, "fin_close: nonpositive states/s")
+
     timing = data.get("timing")
     require(isinstance(timing, dict), "'timing' missing")
     for key, ty in {
@@ -88,7 +97,8 @@ def main():
     require(timing["batch_speedup"] > 0, "timing: nonpositive speedup")
 
     print(f"BENCH_checker.json ok: {len(matrix)} matrix rows, "
-          f"{len(early)} early-exit rows, batch_speedup={timing['batch_speedup']:.2f}")
+          f"{len(early)} early-exit rows, fin_close {fin['product_states']} states, "
+          f"batch_speedup={timing['batch_speedup']:.2f}")
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 
 #include "src/support/check.hpp"
 
@@ -176,6 +177,42 @@ Mark lowest_mark(MarkSet ms) {
   return static_cast<Mark>(std::countr_zero(ms));
 }
 
+std::optional<std::vector<State>> search(const MarkedGraph& g, const std::vector<bool>& allowed,
+                                         const Acceptance& acc, std::vector<bool>* collect);
+
+// The Fin branching on one non-trivial SCC (states sorted ascending): the
+// body of search() for each component, and the entry point for a graph
+// already known to be one SCC.
+std::optional<std::vector<State>> search_scc(const MarkedGraph& g,
+                                             const std::vector<State>& scc,
+                                             const Acceptance& acc, std::vector<bool>* collect) {
+  Acceptance phi = acc.restrict_to(marks_of(g, scc));
+  if (phi.is_false()) return std::nullopt;
+  if (phi.is_true() || phi.fin_marks() == 0) {
+    // The loop visiting all of the SCC carries every mark present, which
+    // satisfies each remaining Inf atom; with no Fin atoms the formula
+    // holds. Every state of the SCC lies on that loop.
+    if (!collect) return scc;
+    for (State q : scc) (*collect)[q] = true;
+    return std::nullopt;
+  }
+  const Mark m = lowest_mark(phi.fin_marks());
+  // Branch 1: the loop avoids mark m entirely.
+  {
+    std::vector<bool> sub = state_mask(g, scc);
+    for (State q : scc)
+      if (g.marks[q] & mark_bit(m)) sub[q] = false;
+    auto r = search(g, sub, phi.substitute(m, /*inf=*/false, /*fin=*/true), collect);
+    if (r) return r;
+  }
+  // Branch 2: the loop visits mark m, so Fin(m) is false. Substituting
+  // only the Fin atom (Inf(m) untouched) keeps the formula a sound
+  // strengthening, and the Fin-atom count strictly decreases. The SCC is
+  // still the one component of its own states, so the recursion re-enters
+  // here instead of decomposing it again.
+  return search_scc(g, scc, phi.substitute_fin(m, false), collect);
+}
+
 // Core recursion shared by find_good_loop and good_loop_states.
 //
 // Searches the subgraph induced by `allowed` for loop sets J with
@@ -184,35 +221,8 @@ Mark lowest_mark(MarkSet ms) {
 // loop into *collect and returns nullopt.
 std::optional<std::vector<State>> search(const MarkedGraph& g, const std::vector<bool>& allowed,
                                          const Acceptance& acc, std::vector<bool>* collect) {
-  for (const auto& scc : nontrivial_sccs(g, allowed)) {
-    Acceptance phi = acc.restrict_to(marks_of(g, scc));
-    if (phi.is_false()) continue;
-    if (phi.is_true() || phi.fin_marks() == 0) {
-      // The loop visiting all of the SCC carries every mark present, which
-      // satisfies each remaining Inf atom; with no Fin atoms the formula
-      // holds. Every state of the SCC lies on that loop.
-      if (!collect) return scc;
-      for (State q : scc) (*collect)[q] = true;
-      continue;
-    }
-    const Mark m = lowest_mark(phi.fin_marks());
-    // Branch 1: the loop avoids mark m entirely.
-    {
-      std::vector<bool> sub = state_mask(g, scc);
-      for (State q : scc)
-        if (g.marks[q] & mark_bit(m)) sub[q] = false;
-      auto r = search(g, sub, phi.substitute(m, /*inf=*/false, /*fin=*/true), collect);
-      if (r) return r;
-    }
-    // Branch 2: the loop visits mark m, so Fin(m) is false. Substituting
-    // only the Fin atom (Inf(m) untouched) keeps the formula a sound
-    // strengthening, and the Fin-atom count strictly decreases.
-    {
-      std::vector<bool> sub = state_mask(g, scc);
-      auto r = search(g, sub, phi.substitute_fin(m, false), collect);
-      if (r) return r;
-    }
-  }
+  for (const auto& scc : nontrivial_sccs(g, allowed))
+    if (auto r = search_scc(g, scc, acc, collect)) return r;
   return std::nullopt;
 }
 
@@ -220,6 +230,13 @@ std::optional<std::vector<State>> search(const MarkedGraph& g, const std::vector
 
 std::optional<std::vector<State>> find_good_loop(const MarkedGraph& g, const Acceptance& acc) {
   return search(g, graph_reachable(g), acc, nullptr);
+}
+
+std::optional<std::vector<State>> find_good_loop_in_scc(const MarkedGraph& g,
+                                                        const Acceptance& acc) {
+  std::vector<State> all(g.size());
+  std::iota(all.begin(), all.end(), State{0});
+  return search_scc(g, all, acc, nullptr);
 }
 
 std::vector<bool> good_loop_states(const MarkedGraph& g, const Acceptance& acc) {

@@ -65,6 +65,13 @@ std::vector<std::vector<State>> nontrivial_sccs(const MarkedGraph& g,
 /// A "loop set" is a set of states traversed by a single cyclic path.
 std::optional<std::vector<State>> find_good_loop(const MarkedGraph& g, const Acceptance& acc);
 
+/// find_good_loop for a graph known to be one non-trivial SCC (strongly
+/// connected, with at least one edge): the same answer, entering the
+/// recursion at the SCC's Fin branching without first recomputing
+/// reachability and the SCC decomposition. The caller vouches for the shape.
+std::optional<std::vector<State>> find_good_loop_in_scc(const MarkedGraph& g,
+                                                        const Acceptance& acc);
+
 /// Exactly the reachable states lying on at least one good loop. This is the
 /// set the paper calls "states on accepting cycles"; it drives both the
 /// residual-language (liveness/Pref) computation and Landweber's recurrence
