@@ -154,13 +154,20 @@ SERVE_CASES = [
     (2, "non-numeric --max-budget-states", ["--max-budget-states", "lots"]),
     (2, "negative --max-budget-ms", ["--max-budget-ms", "-1"]),
     (2, "unknown flag", ["--bogus"]),
+    # Cross-spec subsume sharing is gone from the daemon, so its switches
+    # are unknown options.
+    (2, "retired --no-subsume is an unknown option", ["--no-subsume"]),
+    (2, "retired --subsume-states is an unknown option", ["--subsume-states", "5"]),
 ]
 
 
 def run_battery(binary, cases, tool):
     failures = 0
     for expected, description, args in cases:
-        proc = subprocess.run([binary, *args], capture_output=True, text=True)
+        # No stdin: a daemon that wrongly accepts its flags sees EOF and
+        # exits 0 (a loud mismatch) instead of waiting on the terminal.
+        proc = subprocess.run([binary, *args], capture_output=True, text=True,
+                              stdin=subprocess.DEVNULL)
         if proc.returncode != expected:
             failures += 1
             print(f"FAIL: {tool}: {description}: expected exit {expected}, "

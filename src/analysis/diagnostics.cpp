@@ -76,7 +76,7 @@ constexpr CodeInfo kRegistry[] = {
     {"MPH-V004", Severity::Error, "model-check budget exhausted (verdict unknown)"},
     {"MPH-V005", Severity::Note, "specification proved statically from the interval invariant (no exploration)"},
     // Differential fuzzing (src/fuzz, mph-fuzz).
-    {"MPH-X001", Severity::Error, "oracle discrepancy (two implementations disagree)"},
+    {"MPH-X001", Severity::Error, "oracle discrepancy (two implementations disagree, or an oracle threw)"},
     {"MPH-X002", Severity::Note, "counterexample shrunk to a minimal reproducer"},
     {"MPH-X003", Severity::Warning, "oracle skipped an iteration (input outside its fragment)"},
     {"MPH-X004", Severity::Warning, "iteration budget exhausted (abandoned, not a discrepancy)"},

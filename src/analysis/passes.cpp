@@ -111,7 +111,6 @@ const Pass kPasses[] = {
     {"subsume", "pairwise requirement subsumption via Büchi language inclusion",
      Subject::Kind::Spec, kSubsumeCodes,
      [](const Subject& s, DiagnosticEngine& out, const AnalysisOptions& opts) {
-       if (!opts.subsume.enabled) return;
        lint_subsume(s.spec(), out, opts.subsume);
      }},
     {"absint", "interval abstract interpretation: invariants, dead transitions, wraps",

@@ -29,7 +29,7 @@ struct AnalysisOptions {
   FtsLintOptions fts;
   SpecLintOptions spec;
   NormalizeLintOptions normalize;  // the `normalize` pass (MPH-N family)
-  SubsumeOptions subsume;  // the `subsume` pass (off by default; quadratic)
+  SubsumeOptions subsume;  // the `subsume` pass (quadratic in the requirements)
 };
 
 /// Non-owning view of one analyzable object; the referenced IR must outlive

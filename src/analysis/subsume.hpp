@@ -12,9 +12,7 @@
 //                      (the pass is partial, never wrong)
 //
 // Every verdict is budget-governed: an exhausted budget yields Unknown and
-// an MPH-S013 note, never a guessed implication. mph-serve reuses the same
-// `implies` entry point to transfer cached verdicts across specifications
-// (docs/SERVE.md).
+// an MPH-S013 note, never a guessed implication.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +38,6 @@ struct SubsumeOptions {
   Budget budget = Budget().with_state_cap(20000);
   /// Joint alphabets beyond 2^max_atoms symbols are refused (Unknown).
   std::size_t max_atoms = 6;
-  /// Pass-registry gate: the `subsume` pass only runs when enabled
-  /// (mph-lint --subsume); `implies` itself ignores this.
-  bool enabled = false;
 };
 
 /// Does `stronger` imply `weaker` (L(stronger) ⊆ L(weaker))? Builds both
@@ -65,7 +60,7 @@ struct SubsumeResult {
 };
 
 /// Runs the MPH-S011/S012/S013 family over a property list. Also reachable
-/// through the pass registry as "subsume" on Spec subjects (opt-in).
+/// through the pass registry as "subsume" on Spec subjects.
 SubsumeResult lint_subsume(const std::vector<ltl::Formula>& requirements,
                            DiagnosticEngine& out, const SubsumeOptions& options = {});
 

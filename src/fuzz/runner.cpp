@@ -13,15 +13,24 @@ double elapsed(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - since).count();
 }
 
-/// A candidate "still fails" only when the check reports Fail; a candidate
-/// that passes, skips, exhausts its budget, or throws (a reduction can leave
-/// an oracle's supported fragment) is not the failure being shrunk.
-bool still_fails(const Oracle& oracle, const FuzzCase& c, const Budget& budget) {
+/// One check with its throws folded into the outcome: BudgetExhausted is the
+/// budget running out (MPH-X004); any other exception is a fault in an engine
+/// or the oracle itself, so a failure (MPH-X001), shrunk and replayed like a
+/// reported discrepancy.
+CheckOutcome run_check(const Oracle& oracle, const FuzzCase& c, const Budget& budget) {
   try {
-    return oracle.check(c, budget).kind == CheckOutcome::Kind::Fail;
-  } catch (const std::exception&) {
-    return false;
+    return oracle.check(c, budget);
+  } catch (const BudgetExhausted& e) {
+    return CheckOutcome::exhausted(std::string(to_string(e.outcome())));
+  } catch (const std::exception& e) {
+    return CheckOutcome::fail(std::string("oracle threw: ") + e.what());
   }
+}
+
+/// A candidate "still fails" when its check fails or throws; one that
+/// passes, skips or exhausts its budget does not.
+bool still_fails(const Oracle& oracle, const FuzzCase& c, const Budget& budget) {
+  return run_check(oracle, c, budget).kind == CheckOutcome::Kind::Fail;
 }
 
 }  // namespace
@@ -120,16 +129,7 @@ FuzzReport run_fuzz(const FuzzOptions& options, analysis::DiagnosticEngine* diag
       ++o.iters;
       Rng rng(iteration_seed(oracle->name, options.seed, it));
       FuzzCase c = oracle->generate(rng);
-      CheckOutcome outcome;
-      try {
-        outcome = oracle->check(c, make_budget());
-      } catch (const BudgetExhausted& e) {
-        outcome = CheckOutcome::exhausted(std::string(to_string(e.outcome())));
-      } catch (const std::exception& e) {
-        // A throwing oracle must not abort the campaign: record the
-        // iteration as abandoned (MPH-X004) and keep going.
-        outcome = CheckOutcome::exhausted(std::string("oracle threw: ") + e.what());
-      }
+      const CheckOutcome outcome = run_check(*oracle, c, make_budget());
       if (outcome.kind == CheckOutcome::Kind::Pass) {
         ++o.passed;
         continue;
@@ -186,7 +186,7 @@ FuzzReport run_fuzz(const FuzzOptions& options, analysis::DiagnosticEngine* diag
 CheckOutcome replay(const FuzzCase& c, const Budget& budget) {
   const Oracle* oracle = find_oracle(c.oracle);
   MPH_REQUIRE(oracle != nullptr, "case names unknown oracle: " + c.oracle);
-  return oracle->check(c, budget);
+  return run_check(*oracle, c, budget);
 }
 
 }  // namespace mph::fuzz

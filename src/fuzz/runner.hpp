@@ -74,7 +74,8 @@ FuzzReport run_fuzz(const FuzzOptions& options,
                     analysis::DiagnosticEngine* diagnostics = nullptr);
 
 /// Re-checks a stored case against its oracle (corpus replay). Pass, Skip,
-/// and Budget all count as a clean replay; the replay itself runs under
+/// and Budget all count as a clean replay; a throw other than
+/// BudgetExhausted comes back as Fail, as in run_fuzz. The replay runs under
 /// `budget` (default: unlimited — oracle-internal caps still apply).
 CheckOutcome replay(const FuzzCase& c, const Budget& budget = {});
 

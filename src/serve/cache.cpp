@@ -117,12 +117,4 @@ std::size_t VerdictCache::invalidate_model(std::uint64_t model) {
   return erased;
 }
 
-std::vector<std::pair<std::uint64_t, const VerdictEntry*>> VerdictCache::entries_for(
-    std::uint64_t model, std::uint64_t opts) const {
-  std::vector<std::pair<std::uint64_t, const VerdictEntry*>> out;
-  for (const auto& [key, entry] : entries_)
-    if (key.model == model && key.opts == opts) out.emplace_back(key.spec, &entry);
-  return out;
-}
-
 }  // namespace mph::serve

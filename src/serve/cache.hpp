@@ -144,12 +144,6 @@ class VerdictCache {
   /// number erased.
   std::size_t invalidate_model(std::uint64_t model);
 
-  /// Every (spec digest, entry) cached for this (model, options) pair —
-  /// the donor candidates for cross-spec subsumption sharing. Unordered;
-  /// pointers are invalidated by put()/invalidate_model().
-  std::vector<std::pair<std::uint64_t, const VerdictEntry*>> entries_for(
-      std::uint64_t model, std::uint64_t opts) const;
-
   std::size_t size() const { return entries_.size(); }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }

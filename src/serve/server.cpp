@@ -18,8 +18,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Cached donor entries a check miss scans for a subsume transfer.
-constexpr std::size_t kSubsumeMaxCandidates = 32;
 /// Latency samples kept per endpoint (a ring of the newest) for the
 /// percentile estimates.
 constexpr std::size_t kMaxLatencySamples = 65536;
@@ -271,21 +269,6 @@ fts::CheckOptions Server::check_options(const Json& request, const Budget& budge
   return options;
 }
 
-analysis::Implication Server::implied(std::uint64_t stronger, std::uint64_t weaker) {
-  const auto key = std::make_pair(stronger, weaker);
-  if (auto it = implications_.find(key); it != implications_.end()) return it->second;
-  // States-only server budget: with no deadline in play all three answers
-  // (including Unknown) are deterministic, so the memo never lies to a
-  // later, different request.
-  analysis::SubsumeOptions sopts;
-  sopts.budget = Budget().with_state_cap(config_.subsume_states);
-  ++implication_checks_;
-  const analysis::Implication v = analysis::implies(formulas_.find(stronger)->formula,
-                                                    formulas_.find(weaker)->formula, sopts);
-  implications_.emplace(key, v);
-  return v;
-}
-
 std::string Server::handle_line(const std::string& line) {
   try {
     return handle(Json::parse(line)).dump();
@@ -475,16 +458,12 @@ Json Server::handle_check(const Json& request) {
     const VerdictEntry* cached = nullptr;
     std::size_t miss_index = 0;  ///< into the check_all batch
     bool dedup = false;          ///< duplicate of an earlier miss in this batch
-    /// Verdict derived from another spec's cached entry via language
-    /// inclusion (cache:"subsume"); `via` is the donor's spec digest.
-    std::optional<VerdictEntry> derived;
-    std::uint64_t via = 0;
   };
   std::vector<Position> positions;
   std::vector<ltl::Formula> miss_formulas;
   std::vector<std::string> miss_texts;
   std::map<std::uint64_t, std::size_t> pending;  // spec digest → miss index
-  std::uint64_t hits = 0, misses = 0, dedups = 0, subsumed = 0;
+  std::uint64_t hits = 0, misses = 0, dedups = 0;
 
   for (const auto& value : spec_values) {
     Position p;
@@ -504,30 +483,6 @@ Json Server::handle_check(const Json& request) {
       ++hits;
       positions.push_back(std::move(p));
       continue;
-    }
-    if (config_.subsume_sharing) {
-      // Cross-spec sharing: a cached donor ψ that holds and implies this
-      // spec φ proves φ holds; a violated donor ψ with φ ⇒ ψ has a
-      // counterexample computation outside L(ψ) ⊇ L(φ), so φ is violated
-      // by the same computation. Both directions are sound; Unknown
-      // implications derive nothing.
-      std::size_t scanned = 0;
-      for (const auto& [donor, entry] : verdicts_.entries_for(mdigest, odigest)) {
-        if (scanned++ >= kSubsumeMaxCandidates) break;
-        const bool transfers =
-            entry->holds ? implied(donor, p.digest) == analysis::Implication::Implies
-                         : implied(p.digest, donor) == analysis::Implication::Implies;
-        if (!transfers) continue;
-        p.derived = *entry;
-        p.via = donor;
-        break;
-      }
-      if (p.derived) {
-        ++subsumed;
-        ++subsume_hits_;
-        positions.push_back(std::move(p));
-        continue;
-      }
     }
     ++misses;
     p.miss_index = miss_formulas.size();
@@ -593,9 +548,7 @@ Json Server::handle_check(const Json& request) {
   std::vector<Json> results;
   for (const auto& p : positions) {
     const FormulaArtifacts& art = *formulas_.find(p.digest);
-    const VerdictEntry& entry = p.cached    ? *p.cached
-                                : p.derived ? *p.derived
-                                            : fresh.at(p.miss_index);
+    const VerdictEntry& entry = p.cached ? *p.cached : fresh.at(p.miss_index);
     const Outcome outcome = entry.stats.outcome;
     JsonWriter w;
     w.field("spec", p.text)
@@ -605,14 +558,8 @@ Json Server::handle_check(const Json& request) {
                           : entry.holds         ? "holds"
                                                 : "violated")
         .field("outcome", to_string(outcome))
-        .field("cache", p.cached    ? "hit"
-                        : p.derived ? "subsume"
-                        : p.dedup   ? "dedup"
-                                    : "miss");
-    // The stats of a subsume-derived row are the donor's: they are the
-    // evidence the verdict transferred from.
-    if (p.derived) w.field("via", digest_hex(p.via));
-    w.field("engine", to_string(entry.stats.engine))
+        .field("cache", p.cached ? "hit" : p.dedup ? "dedup" : "miss")
+        .field("engine", to_string(entry.stats.engine))
         .field("class_source", to_string(entry.stats.class_source))
         .field("product_states", static_cast<std::uint64_t>(entry.stats.product_states))
         .field("automaton_states", static_cast<std::uint64_t>(entry.stats.automaton_states));
@@ -628,7 +575,7 @@ Json Server::handle_check(const Json& request) {
   // single entry — serve_test pins this) and account exhaustions.
   std::set<std::uint64_t> stored;
   for (const auto& p : positions) {
-    if (p.cached || p.derived) continue;
+    if (p.cached) continue;
     if (!stored.insert(p.digest).second) continue;
     const VerdictEntry& entry = fresh.at(p.miss_index);
     if (!is_complete(entry.stats.outcome)) {
@@ -649,7 +596,6 @@ Json Server::handle_check(const Json& request) {
                           .field("hits", hits)
                           .field("misses", misses)
                           .field("dedup", dedups)
-                          .field("subsume", subsumed)
                           .build())
       .field("diagnostics", diagnostics_json(diagnostics))
       .build();
@@ -810,13 +756,6 @@ Json Server::stats_json() const {
                             .field("hits", verdicts_.hits())
                             .field("misses", verdicts_.misses())
                             .field("dedup", batch_dedups_)
-                            .field("subsume_hits", subsume_hits_)
-                            .build())
-                 .field("implications",
-                        JsonWriter()
-                            .field("entries",
-                                   static_cast<std::uint64_t>(implications_.size()))
-                            .field("checks", implication_checks_)
                             .build())
                  .build())
       .build();
@@ -836,9 +775,7 @@ std::string Server::stats_text() const {
       << " hits, " << formulas_.misses() << " misses\n"
       << "  verdict cache: " << verdicts_.size() << " entries, " << verdicts_.hits()
       << " hits, " << verdicts_.misses() << " misses, " << batch_dedups_
-      << " batch dedup(s), " << subsume_hits_ << " subsume hit(s)\n"
-      << "  implication memo: " << implications_.size() << " entries, "
-      << implication_checks_ << " inclusion run(s)\n";
+      << " batch dedup(s)\n";
   return out.str();
 }
 

@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/subsume.hpp"
 #include "src/fts/checker.hpp"
 #include "src/serve/cache.hpp"
 #include "src/serve/json.hpp"
@@ -47,16 +46,6 @@ struct ServerConfig {
   /// This is how an embedding — the serve-replay oracle, a test — threads
   /// its own iteration budget through the daemon.
   Budget base_budget;
-  /// Cross-spec verdict sharing (docs/SERVE.md): a check miss may derive its
-  /// verdict from another spec's cached verdict on the same model via Büchi
-  /// language inclusion (analysis::implies) — a holding donor that implies
-  /// the spec proves "holds"; a violated donor the spec implies transfers
-  /// the violation. Answers are marked cache:"subsume" with the donor's
-  /// digest in "via".
-  bool subsume_sharing = true;
-  /// State cap for each implication check. Server-side and states-only, so
-  /// the memoized three-valued answers are deterministic.
-  std::size_t subsume_states = 20000;
 };
 
 /// Per-endpoint observability counters.
@@ -98,8 +87,6 @@ class Server {
   std::uint64_t requests() const { return requests_; }
   std::uint64_t budget_exhaustions() const { return budget_exhaustions_; }
   std::uint64_t batch_dedups() const { return batch_dedups_; }
-  std::uint64_t subsume_hits() const { return subsume_hits_; }
-  std::uint64_t implication_checks() const { return implication_checks_; }
 
  private:
   Json dispatch(const Json& request);
@@ -114,21 +101,14 @@ class Server {
   Budget admit(const Json& request) const;
   /// Engine options from request fields, clamped to config ceilings.
   fts::CheckOptions check_options(const Json& request, const Budget& budget) const;
-  /// Memoized three-valued L(stronger) ⊆ L(weaker) between interned
-  /// formulas, under the server's states-only subsume budget.
-  analysis::Implication implied(std::uint64_t stronger, std::uint64_t weaker);
 
   ServerConfig config_;
   FormulaCache formulas_;
   VerdictCache verdicts_;
   std::map<std::string, EndpointMetrics, std::less<>> endpoints_;
-  /// (stronger digest, weaker digest) → memoized implication verdict.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, analysis::Implication> implications_;
   std::uint64_t requests_ = 0;
   std::uint64_t budget_exhaustions_ = 0;  ///< results answered "unknown"
   std::uint64_t batch_dedups_ = 0;  ///< duplicate specs folded within one batch
-  std::uint64_t subsume_hits_ = 0;  ///< verdicts derived from another spec's entry
-  std::uint64_t implication_checks_ = 0;  ///< inclusion engine runs (memo misses)
 };
 
 /// A resolved `model` request field: built-in name or inline FtsSpec.

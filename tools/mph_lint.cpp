@@ -671,10 +671,9 @@ int main(int argc, char** argv) {
       std::vector<ltl::Formula> reqs;
       for (const auto& text : req_texts) reqs.push_back(ltl::parse_formula(text));
 
-      options.subsume.enabled = true;
-      if (budget_states > 0)
-        options.subsume.budget = Budget().with_state_cap(budget_states);
-      const auto sr = analysis::lint_subsume(reqs, engine, options.subsume);
+      analysis::SubsumeOptions subsume;
+      if (budget_states > 0) subsume.budget = Budget().with_state_cap(budget_states);
+      const auto sr = analysis::lint_subsume(reqs, engine, subsume);
       if (sr.unknown_pairs > 0) unknown_seen = true;
       if (!json && !quiet) {
         TextTable t({"stronger", "weaker", "relation"});

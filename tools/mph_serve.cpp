@@ -52,9 +52,6 @@ int usage(std::ostream& out, int code) {
          "  --max-budget-ms N     ceiling on any request's wall-clock budget in ms\n"
          "                        (default 0 = requests may run undeadlined)\n"
          "  --max-threads N       ceiling on requested threads (default 8)\n"
-         "  --no-subsume          disable cross-spec verdict sharing via language\n"
-         "                        inclusion (docs/SERVE.md)\n"
-         "  --subsume-states N    state cap per implication check (default 20000)\n"
          "  --quiet               no stats dump on shutdown\n";
   return code;
 }
@@ -187,11 +184,6 @@ int main(int argc, char** argv) {
       config.max_budget_ms = next_num("--max-budget-ms", UINT64_MAX);
     } else if (arg == "--max-threads") {
       config.max_threads = static_cast<unsigned>(next_num("--max-threads", 1024));
-    } else if (arg == "--no-subsume") {
-      config.subsume_sharing = false;
-    } else if (arg == "--subsume-states") {
-      config.subsume_states =
-          static_cast<std::size_t>(next_num("--subsume-states", UINT64_MAX));
     } else if (arg == "--quiet") {
       quiet = true;
     } else {
